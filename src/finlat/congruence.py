@@ -22,7 +22,7 @@ from .eqrel import (
     partition_label,
     refines,
 )
-from .errors import GroundMismatch, InvalidParameter, SizeLimit
+from .errors import FinlatError, GroundMismatch, InvalidParameter, SizeLimit
 from .lattice import FiniteLattice, build_lattice, dual, lattice_isomorphism
 
 MAX_CG_CARRIER = 10
@@ -158,7 +158,8 @@ def _join_congruence(A: FiniteAlgebra, t1: EquivalenceRelation, t2: EquivalenceR
     joined = join_eq(t1, t2)
     # the congruences form a sublattice of Eq(A), so the plain join must
     # already be compatible; a failure here would be a bug
-    assert is_congruence(joined, A).holds
+    if not is_congruence(joined, A).holds:
+        raise FinlatError(f"join of congruences {t1.class_id} and {t2.class_id} is not a congruence")
     return joined
 
 

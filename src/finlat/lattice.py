@@ -8,6 +8,7 @@ pure function, safe for concurrent use.
 """
 from __future__ import annotations
 
+import heapq
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -83,36 +84,20 @@ class FiniteLattice:
         return range(self.size)
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, smallest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _down_masks(up: Sequence[int], n: int) -> list[int]:
     down = [0] * n
     for i in range(n):
-        row = up[i]
-        while row:
-            j = (row & -row).bit_length() - 1
+        for j in _bits(up[i]):
             down[j] |= 1 << i
-            row &= row - 1
     return down
-
-
-def _max_of_downset(mask: int, down: Sequence[int]) -> Optional[int]:
-    # the maximum of a set S, if any: the k in S with S contained in down[k]
-    m = mask
-    while m:
-        k = (m & -m).bit_length() - 1
-        if mask & ~down[k] == 0:
-            return k
-        m &= m - 1
-    return None
-
-
-def _min_of_upset(mask: int, up: Sequence[int]) -> Optional[int]:
-    m = mask
-    while m:
-        k = (m & -m).bit_length() - 1
-        if mask & ~up[k] == 0:
-            return k
-        m &= m - 1
-    return None
 
 
 def build_lattice(
@@ -145,21 +130,20 @@ def build_lattice(
         for j in range(i + 1, size):
             if up[i] >> j & 1 and up[j] >> i & 1:
                 raise NotAPartialOrder(i, j)
+    # a meet exists iff the intersection of the principal down-sets is itself
+    # principal, and then it is the element owning that down-set; dually for joins
     down = _down_masks(up, size)
+    by_down = {d: k for k, d in enumerate(down)}
+    by_up = {u: k for k, u in enumerate(up)}
     meet_rows = []
     join_rows = []
     for i in range(size):
-        mrow = []
-        jrow = []
-        for j in range(size):
-            m = _max_of_downset(down[i] & down[j], down)
-            if m is None:
-                raise NotALattice(i, j, "meet")
-            mrow.append(m)
-            v = _min_of_upset(up[i] & up[j], up)
-            if v is None:
-                raise NotALattice(i, j, "join")
-            jrow.append(v)
+        di, ui = down[i], up[i]
+        mrow = [by_down.get(di & d) for d in down]
+        jrow = [by_up.get(ui & u) for u in up]
+        if None in mrow or None in jrow:
+            j = next(j for j in range(size) if mrow[j] is None or jrow[j] is None)
+            raise NotALattice(i, j, "meet" if mrow[j] is None else "join")
         meet_rows.append(tuple(mrow))
         join_rows.append(tuple(jrow))
     lab = tuple(labels) if labels is not None else None
@@ -183,13 +167,13 @@ def validate_lattice(L: FiniteLattice) -> list[str]:
                 if L.le(i, j) and L.le(j, k) and not L.le(i, k):
                     problems.append(f"transitivity fails at ({i}, {j}, {k})")
     down = _down_masks(L.up, n)
+    by_down = {d: k for k, d in enumerate(down)}
+    by_up = {u: k for k, u in enumerate(L.up)}
     for i in range(n):
         for j in range(n):
-            m = _max_of_downset(down[i] & down[j], down)
-            v = _min_of_upset(L.up[i] & L.up[j], L.up)
-            if m != L.meet(i, j):
+            if by_down.get(down[i] & down[j]) != L.meet(i, j):
                 problems.append(f"meet table wrong at ({i}, {j})")
-            if v != L.join(i, j):
+            if by_up.get(L.up[i] & L.up[j]) != L.join(i, j):
                 problems.append(f"join table wrong at ({i}, {j})")
     for x in range(n):
         for y in range(n):
@@ -226,7 +210,7 @@ def boolean_lattice(n: int, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
     size = 1 << n
     if size > max_size:
         raise SizeLimit("lattice size", size, max_size)
-    pairs = [(a, b) for a in range(size) for b in range(size) if a & ~b == 0]
+    pairs = [(a, a | 1 << i) for a in range(size) for i in range(n) if not a >> i & 1]
     labels = []
     for mask in range(size):
         members = [str(i) for i in range(n) if mask >> i & 1]
@@ -487,25 +471,56 @@ class DistributivityVerdict:
 
 
 def is_distributive(L: FiniteLattice, max_host: int = MAX_SUBLATTICE_HOST) -> DistributivityVerdict:
-    """Forbidden-sublattice test: distributive iff no copy of the 3-diamond or pentagon."""
-    copy = find_sublattice_copy(L, m_lattice(3), max_host=max_host)
-    if copy is not None:
-        return DistributivityVerdict(False, copy, "diamond")
-    copy = find_sublattice_copy(L, pentagon(), max_host=max_host)
-    if copy is not None:
-        return DistributivityVerdict(False, copy, "pentagon")
+    """Distributive iff L has no sublattice isomorphic to M3 or the pentagon N5.
+
+    By the M3-N5 theorem (Dedekind, Birkhoff) a direct scan of triples
+    suffices, so no general sublattice search is run.  It looks first for
+    an M3: pairwise incomparable a < b < c (by index) with equal pairwise
+    meets m and equal pairwise joins j, returned as (m, a, b, c, j) in
+    m_lattice(3) numbering.  Then for an N5: a < b in the order with c
+    incomparable to both, a ^ c = b ^ c and a v c = b v c, scanned by
+    (a, c, b) and returned as (a ^ c, a, b, c, a v c) in pentagon()
+    numbering.  The first hit in index order is the witness.
+    """
+    if L.size > max_host:
+        raise SizeLimit("sublattice search host", L.size, max_host)
+    n = L.size
+    up, meet, join = L.up, L.meet_table, L.join_table
+    down = _down_masks(up, n)
+    full = (1 << n) - 1
+    incomparable = [full & ~(up[x] | down[x]) for x in range(n)]
+    for a in range(n):
+        for b in _bits(incomparable[a] & ~((2 << a) - 1)):
+            m, j = meet[a][b], join[a][b]
+            # c lies in the interval [m, j] and after b
+            for c in _bits(incomparable[a] & incomparable[b] & up[m] & down[j] & ~((2 << b) - 1)):
+                if meet[a][c] == meet[b][c] == m and join[a][c] == join[b][c] == j:
+                    copy = LatticeEmbedding(m_lattice(3), L, (m, a, b, c, j))
+                    return DistributivityVerdict(False, copy, "diamond")
+    for a in range(n):
+        for c in _bits(incomparable[a]):
+            m, j = meet[a][c], join[a][c]
+            # a < b <= a v c already forces b v c = a v c
+            for b in _bits(up[a] & down[j] & incomparable[c] & ~(1 << a)):
+                if meet[b][c] == m:
+                    copy = LatticeEmbedding(pentagon(), L, (m, a, b, c, j))
+                    return DistributivityVerdict(False, copy, "pentagon")
     return DistributivityVerdict(True, None, None)
 
 
 def satisfies_distributive_law(L: FiniteLattice) -> bool:
     """Direct check of both distributive identities over all triples."""
+    meet, join = L.meet_table, L.join_table
     for x in range(L.size):
+        mx, jx = meet[x], join[x]
         for y in range(L.size):
-            for z in range(L.size):
-                if L.meet(x, L.join(y, z)) != L.join(L.meet(x, y), L.meet(x, z)):
-                    return False
-                if L.join(x, L.meet(y, z)) != L.meet(L.join(x, y), L.join(x, z)):
-                    return False
+            # for every z at once: x ^ (y v z) = (x ^ y) v (x ^ z) and
+            # x v (y ^ z) = (x v y) ^ (x v z), read as rows of the tables
+            join_of_mxy, meet_of_jxy = join[mx[y]], meet[jx[y]]
+            if [mx[v] for v in join[y]] != [join_of_mxy[v] for v in mx]:
+                return False
+            if [jx[v] for v in meet[y]] != [meet_of_jxy[v] for v in jx]:
+                return False
     return True
 
 
@@ -537,7 +552,7 @@ def birkhoff_oracle(L: FiniteLattice, max_size: int = MAX_ELEMENTS) -> BirkhoffV
     ji = join_irreducibles(L)
     cap = L.size + 1
     downsets: set[frozenset[int]] = {frozenset()}
-    for x in ji:
+    for x in _linear_extension(L, ji):
         below = frozenset(y for y in ji if L.le(y, x) and y != x)
         new = set()
         for d in downsets:
@@ -547,6 +562,24 @@ def birkhoff_oracle(L: FiniteLattice, max_size: int = MAX_ELEMENTS) -> BirkhoffV
         if len(downsets) > cap:
             return BirkhoffVerdict(False, ji, len(downsets))
     return BirkhoffVerdict(len(downsets) == L.size, ji, len(downsets))
+
+
+def _linear_extension(L: FiniteLattice, elems: Sequence[int]) -> list[int]:
+    """elems (ascending) ordered so that each comes after those below it,
+    the smallest available index first; index order when that already works."""
+    mask = sum(1 << x for x in elems)
+    down = _down_masks(L.up, L.size)
+    waiting = {x: bin(down[x] & mask).count("1") - 1 for x in elems}
+    ready = [x for x in elems if not waiting[x]]
+    order = []
+    while ready:
+        x = heapq.heappop(ready)
+        order.append(x)
+        for y in _bits(L.up[x] & mask & ~(1 << x)):
+            waiting[y] -= 1
+            if not waiting[y]:
+                heapq.heappush(ready, y)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,9 @@ def enumerate_ranks(
 
     Enumeration runs over raw maps L -> L, pruned early by axiom (1)
     (each rho(x) ranges over the filter of x) and by partial comparability
-    and join-law checks; the axioms are always required.  The candidate
-    space is the product of filter sizes, guarded by max_candidates.
+    and join-law checks, monotonicity included; the axioms are always
+    required.  The candidate space is the product of filter sizes, guarded
+    by max_candidates.
     """
     unknown = set(require) - _KNOWN_CHECKS
     if unknown:
@@ -153,6 +154,8 @@ def enumerate_ranks(
             j = L.join(x, y)
             if j < x and rho[j] != L.join(v, w):
                 return False  # axiom (4), both sides already chosen
+            if j == x and L.join(v, w) != v:
+                return False  # axiom (4) with y <= x: rho is monotone
         return True
 
     def descend(x: int) -> None:

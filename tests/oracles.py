@@ -92,6 +92,16 @@ def enumerate_labeled_lattices(size: int) -> Iterator[FiniteLattice]:
         yield build_lattice(size, pairs)
 
 
+def relabeled(L: FiniteLattice, rng) -> FiniteLattice:
+    """L renumbered by a random permutation and rebuilt from its cover
+    pairs in random order, so index order need not be a linear extension."""
+    perm = list(range(L.size))
+    rng.shuffle(perm)
+    pairs = [(perm[i], perm[j]) for i, j in L.covers()]
+    rng.shuffle(pairs)
+    return build_lattice(L.size, pairs)
+
+
 def iso_classes(lattices) -> list[FiniteLattice]:
     """One representative per isomorphism class, bucketed by cheap invariants."""
     buckets: dict[tuple, list[FiniteLattice]] = {}

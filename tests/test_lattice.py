@@ -1,9 +1,12 @@
 import json
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from finlat.errors import InvalidParameter, NotALattice, NotAPartialOrder, SizeLimit
 from finlat.lattice import (
+    BirkhoffVerdict,
     DegenerateParameterWarning,
     EquivalencedLattice,
     LatticeEmbedding,
@@ -35,7 +38,7 @@ from finlat.lattice import (
     validate_lattice,
 )
 
-from oracles import enumerate_labeled_lattices, iso_classes
+from oracles import enumerate_labeled_lattices, iso_classes, relabeled
 
 
 def small_lattices(max_size=5):
@@ -113,6 +116,12 @@ class TestStandardLattices:
         assert standard_lattice("pentagon").size == 5
         with pytest.raises(InvalidParameter):
             standard_lattice("dodecahedron")
+
+    def test_boolean_from_covers_matches_all_subset_pairs(self):
+        for k in range(6):
+            size = 1 << k
+            pairs = [(a, b) for a in range(size) for b in range(size) if a & ~b == 0]
+            assert boolean_lattice(k) == build_lattice(size, pairs)
 
     def test_all_standard_validate(self):
         for L in [chain_lattice(4), boolean_lattice(3), m_lattice(4), pentagon(), hexagon()]:
@@ -281,8 +290,26 @@ class TestDistributivity:
         assert check_embedding(v.witness)
 
     def test_agrees_with_law(self):
-        for L in small_lattices(5):
-            assert is_distributive(L).distributive == satisfies_distributive_law(L)
+        # the scan reads element numbers, so each lattice is also relabeled
+        rng = random.Random(3)
+        patterns = {"diamond": m_lattice(3), "pentagon": pentagon()}
+        for L0 in small_lattices(6):
+            for L in (L0, relabeled(L0, rng), relabeled(L0, rng)):
+                v = is_distributive(L)
+                assert v.distributive == birkhoff_oracle(L).distributive == satisfies_distributive_law(L)
+                if v.distributive:
+                    assert v.witness is None and v.witness_kind is None
+                else:
+                    assert v.witness.source == patterns[v.witness_kind]
+                    assert v.witness.target == L
+                    assert check_embedding(v.witness)
+
+    def test_host_budget(self):
+        with pytest.raises(SizeLimit) as err:
+            is_distributive(boolean_lattice(7))
+        assert (err.value.dimension, err.value.actual, err.value.limit) == ("sublattice search host", 128, 64)
+        with pytest.raises(SizeLimit):
+            is_distributive(pentagon(), max_host=4)
 
 
 class TestBirkhoff:
@@ -299,6 +326,24 @@ class TestBirkhoff:
 
     def test_boolean2(self):
         assert birkhoff_oracle(boolean_lattice(2)).distributive
+
+    def test_any_numbering(self):
+        # down-sets are counted along a linear extension, not in index order
+        assert birkhoff_oracle(build_lattice(3, [(0, 2), (2, 1)])) == BirkhoffVerdict(True, (1, 2), 3)
+        rng = random.Random(11)
+        cases = [
+            (product(chain_lattice(4), chain_lattice(4)), True),
+            (two_oplus(product(chain_lattice(3), chain_lattice(5))), True),
+            (two_oplus(two_oplus(hexagon())), False),
+        ]
+        for L0, dist in cases:
+            for _ in range(8):
+                L = relabeled(L0, rng)
+                v = birkhoff_oracle(L)
+                assert v.distributive == dist
+                assert v.join_irreducibles == join_irreducibles(L)
+                if dist:
+                    assert v.downset_count == L.size
 
     def test_join_irreducibles_definition(self):
         for L in small_lattices(5):

@@ -1,3 +1,6 @@
+import random
+from itertools import product as iproduct
+
 import pytest
 
 from finlat.errors import InvalidParameter, SizeLimit
@@ -11,6 +14,8 @@ from finlat.ranked import (
     ranked_lattice,
     verify_rank_axioms,
 )
+
+from oracles import enumerate_labeled_lattices, relabeled
 
 
 class TestAxioms:
@@ -121,6 +126,24 @@ class TestEnumeration:
                     raw.append(rho)
         fast = [r.rho for r in enumerate_ranks(L, {"axioms", "blass", "gaifman"})]
         assert fast == raw
+
+    def test_matches_raw_filter_under_any_numbering(self):
+        # the search prunes by element number, so compare on relabelings
+        rng = random.Random(2)
+        checks = [{"axioms"}, {"axioms", "blass"}, {"axioms", "blass", "gaifman"}]
+        for n in range(1, 6):
+            for L0 in enumerate_labeled_lattices(n):
+                for L in (relabeled(L0, rng), relabeled(L0, rng)):
+                    ranks = [ranked_lattice(L, rho) for rho in iproduct(range(n), repeat=n)
+                             if verify_rank_axioms(L, rho).valid]
+                    for require in checks:
+                        raw = [R.rho for R in ranks
+                               if ("blass" not in require or check_blass(R).holds)
+                               and ("gaifman" not in require or check_gaifman(R).holds)]
+                        assert [R.rho for R in enumerate_ranks(L, require)] == raw
+
+    def test_chain8_edge_count(self):
+        assert len(enumerate_ranks(chain_lattice(8), {"axioms", "blass", "gaifman"})) == 2 ** 7
 
     def test_m3_blass_forces_constant_top(self):
         ranks = enumerate_ranks(m_lattice(3), {"axioms", "blass"})
