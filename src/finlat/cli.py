@@ -39,60 +39,83 @@ _BUDGET_NAMES = {
 }
 
 
-class _Budgets:
-    def __init__(self, overrides: dict[str, int]):
-        self.values = dict(_BUDGET_NAMES)
-        for name, default in _BUDGET_NAMES.items():
-            env = os.environ.get("FINLAT_" + name.upper())
-            if env is not None:
-                self.values[name] = int(env)
-        self.values.update(overrides)
-
-    def __getitem__(self, name: str) -> int:
-        return self.values[name]
-
-    def overridden(self) -> list[str]:
-        return sorted(
-            f"{name}={value}"
-            for name, value in self.values.items()
-            if value != _BUDGET_NAMES[name]
-        )
-
-
-def _parse_budget_flags(items: Optional[Sequence[str]]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for item in items or ():
+def _budgets(flags: Optional[Sequence[str]]) -> dict[str, int]:
+    """Budget values: --budget flags, then FINLAT_<NAME> variables, then defaults."""
+    overrides = {}
+    for item in flags or ():
         if "=" not in item:
             raise InvalidParameter(f"budget flag {item!r} is not name=value")
         name, value = item.split("=", 1)
         if name not in _BUDGET_NAMES:
             raise InvalidParameter(f"unknown budget {name!r}")
-        out[name] = int(value)
-    return out
+        overrides[name] = int(value)
+    budgets = dict(_BUDGET_NAMES)
+    for name in budgets:
+        env = os.environ.get("FINLAT_" + name.upper())
+        if env is not None:
+            budgets[name] = int(env)
+    budgets.update(overrides)
+    return budgets
 
 
-def _read_json(path: str):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        return json.loads(raw), hashlib.sha256(raw).hexdigest()
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+def _load(args, budgets: dict[str, int]) -> tuple[list, list[dict]]:
+    """The command's inputs, parsed, and their report records.
 
-
-def _load_lattice(args, budgets) -> tuple[lattice.FiniteLattice, list[dict]]:
+    Each file is read and hashed once and parsed by the command's loader
+    with the element budget.  A SizeLimit passes through with its fields;
+    any other parse failure becomes a ParseError naming the file.
+    """
+    limit = budgets["max_elements"]
     if getattr(args, "std", None):
-        L = lattice.standard_lattice(args.std)
-        return L, [{"std": args.std}]
-    data, digest = _read_json(args.input)
-    try:
-        L = lattice.lattice_from_json(data, max_size=budgets["max_elements"])
-    except FinlatError as exc:
-        raise ParseError(f"{args.input}: {exc}") from exc
-    return L, [{"path": args.input, "sha256": digest}]
+        return [lattice.standard_lattice(args.std, max_size=limit)], [{"std": args.std}]
+    if getattr(args, "survey", False) or args.input is None:
+        # crt2 --survey reads no file; its inputs are its parameters
+        return [], [{"n": args.n, "k": args.k}]
+    values, records = [], []
+    for path in args.input if isinstance(args.input, list) else [args.input]:
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        try:
+            values.append(args.load(json.loads(raw), limit))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except SizeLimit:
+            raise
+        except FinlatError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {type(exc).__name__}: {exc}") from exc
+        records.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
+    return values, records
+
+
+# loaders, (parsed JSON, element budget) -> input value; each reaches the
+# library through its module attribute at call time
+
+
+def _lattice(data, limit: int):
+    return lattice.lattice_from_json(data, max_size=limit)
+
+
+def _rep(data, limit: int):
+    return reps.rep_from_json(data, max_size=limit)
+
+
+def _algebra(data, limit: int):
+    return congruence.algebra_from_json(data)
+
+
+def _equivalenced(data, limit: int):
+    return lattice.equivalenced_from_json(data, max_size=limit)
+
+
+def _pair_function(data, limit: int):
+    if "n" not in data or "values" not in data:
+        raise ParseError("pair function JSON needs 'n' and 'values'")
+    return ramsey.pair_function(int(data["n"]), data["values"])
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -146,8 +169,7 @@ def _check_expectations(report: dict, expects: Sequence[str]) -> list[dict]:
 # command payloads
 
 
-def _cmd_analyze(args, budgets) -> dict:
-    L, inputs = _load_lattice(args, budgets)
+def _cmd_analyze(args, budgets, L) -> dict:
     verdict = lattice.is_distributive(L, max_host=budgets["max_sublattice_host"])
     birk = lattice.birkhoff_oracle(L)
     law = lattice.satisfies_distributive_law(L)
@@ -158,8 +180,6 @@ def _cmd_analyze(args, budgets) -> dict:
     # running at small sizes
     revalidated = not lattice.validate_lattice(L) if L.size <= 64 else True
     return {
-        "command": "analyze",
-        "inputs": inputs,
         "size": L.size,
         "valid": revalidated,
         "bottom": L.bottom,
@@ -180,8 +200,7 @@ def _cmd_analyze(args, budgets) -> dict:
     }
 
 
-def _cmd_ranks(args, budgets) -> dict:
-    L, inputs = _load_lattice(args, budgets)
+def _cmd_ranks(args, budgets, L) -> dict:
     require = {"axioms"}
     if args.blass:
         require.add("blass")
@@ -196,8 +215,6 @@ def _cmd_ranks(args, budgets) -> dict:
     rows = ranked.rank_report(L, ranks)
     ranksets = sorted({tuple(row["rankset"]) for row in rows})
     return {
-        "command": "ranks",
-        "inputs": inputs,
         "size": L.size,
         "require": sorted(require),
         "count": len(rows),
@@ -206,14 +223,10 @@ def _cmd_ranks(args, budgets) -> dict:
     }
 
 
-def _cmd_rep_verify(args, budgets) -> dict:
-    data, digest = _read_json(args.input)
-    R = reps.rep_from_json(data)
+def _cmd_rep_verify(args, budgets, R) -> dict:
     pseudo = reps.verify_pseudo_rep(R)
     inj = reps.is_representation(R)
     return {
-        "command": "rep verify",
-        "inputs": [{"path": args.input, "sha256": digest}],
         "pseudo_valid": pseudo.valid,
         "violations": [
             {"law": law, "witness": list(w) if w else None} for law, w in pseudo.violations
@@ -225,13 +238,9 @@ def _cmd_rep_verify(args, budgets) -> dict:
     }
 
 
-def _cmd_rep_cpp(args, budgets) -> dict:
-    data, digest = _read_json(args.input)
-    R = reps.rep_from_json(data)
+def _cmd_rep_cpp(args, budgets, R) -> dict:
     verdict = reps.is_ncpp(R, args.depth, max_ground=budgets["max_cpp_ground"])
     return {
-        "command": "rep cpp",
-        "inputs": [{"path": args.input, "sha256": digest}],
         "depth": args.depth,
         "holds": verdict.holds,
         "result": reps.cpp_certificate_json(verdict),
@@ -239,9 +248,7 @@ def _cmd_rep_cpp(args, budgets) -> dict:
     }
 
 
-def _cmd_rep_ranked(args, budgets) -> dict:
-    data, digest = _read_json(args.input)
-    R = reps.rep_from_json(data)
+def _cmd_rep_ranked(args, budgets, R) -> dict:
     rho = tuple(int(v) for v in args.rho.split(","))
     axioms = ranked.verify_rank_axioms(R.lattice, rho)
     ctx = reps.ThresholdRankContext(args.bound)
@@ -254,8 +261,6 @@ def _cmd_rep_ranked(args, budgets) -> dict:
             "reason": verdict.reason,
         }
     return {
-        "command": "rep ranked",
-        "inputs": [{"path": args.input, "sha256": digest}],
         "rho": list(rho),
         "bound": args.bound,
         "rank_axioms_valid": axioms.valid,
@@ -263,21 +268,13 @@ def _cmd_rep_ranked(args, budgets) -> dict:
     }
 
 
-def _cmd_rep_family(args, budgets) -> dict:
-    family = []
-    inputs = []
-    for path in args.inputs:
-        data, digest = _read_json(path)
-        family.append(reps.rep_from_json(data))
-        inputs.append({"path": path, "sha256": digest})
+def _cmd_rep_family(args, budgets, *family) -> dict:
     report = reps.family_closure_check(family, max_ground=budgets["max_cpp_ground"])
     failure = None
     if report.closure_failure is not None:
         idx, theta = report.closure_failure
         failure = {"member": idx, "theta": eqrel.eq_to_json(theta)}
     return {
-        "command": "rep family-closure",
-        "inputs": inputs,
         "nonempty": report.nonempty,
         "all_0cpp": report.all_0cpp,
         "not_0cpp_members": list(report.not_0cpp_members),
@@ -288,7 +285,7 @@ def _cmd_rep_family(args, budgets) -> dict:
     }
 
 
-def _cmd_crt2(args, budgets) -> dict:
+def _cmd_crt2(args, budgets, f=None) -> dict:
     if args.survey:
         if args.n is None:
             raise InvalidParameter("--survey needs --n")
@@ -296,25 +293,17 @@ def _cmd_crt2(args, budgets) -> dict:
         if args.csv:
             _write_atomic(args.csv, ramsey.survey_csv(survey))
         return {
-            "command": "crt2",
-            "inputs": [{"n": args.n, "k": args.k}],
             "survey": True,
             "total": survey.total,
             "admitting": survey.admitting,
             "failing": list(survey.failing),
             "csv": args.csv,
         }
-    if not args.fn:
+    if f is None:
         raise InvalidParameter("crt2 needs --survey or --fn FILE")
-    data, digest = _read_json(args.fn)
-    if "n" not in data or "values" not in data:
-        raise ParseError(f"{args.fn}: pair function JSON needs 'n' and 'values'")
-    f = ramsey.pair_function(int(data["n"]), data["values"])
     witness = ramsey.find_canonical_subset(f, args.k, max_candidates=budgets["max_subset_candidates"])
     forms = sorted(ramsey.canonical_form_on(f, witness)) if witness else []
     return {
-        "command": "crt2",
-        "inputs": [{"path": args.fn, "sha256": digest}],
         "survey": False,
         "k": args.k,
         "witness": list(witness) if witness else None,
@@ -323,13 +312,9 @@ def _cmd_crt2(args, budgets) -> dict:
     }
 
 
-def _cmd_alg_cg(args, budgets) -> dict:
-    data, digest = _read_json(args.input)
-    A = congruence.algebra_from_json(data)
+def _cmd_alg_cg(args, budgets, A) -> dict:
     cg = congruence.congruence_lattice(A, max_carrier=budgets["max_cg_carrier"])
     return {
-        "command": "alg cg",
-        "inputs": [{"path": args.input, "sha256": digest}],
         "carrier": A.size,
         "congruence_count": len(cg.congruences),
         "congruences": [eqrel.eq_to_json(t) for t in cg.congruences],
@@ -337,9 +322,7 @@ def _cmd_alg_cg(args, budgets) -> dict:
     }
 
 
-def _cmd_alg_check(args, budgets) -> dict:
-    data, digest = _read_json(args.input)
-    A = congruence.algebra_from_json(data)
+def _cmd_alg_check(args, budgets, A) -> dict:
     ids = [int(v) for v in args.theta.split(",")]
     theta = eqrel.from_class_ids(ids)
     verdict = congruence.is_congruence(theta, A)
@@ -348,17 +331,13 @@ def _cmd_alg_check(args, budgets) -> dict:
         op, a, b = verdict.witness
         witness = {"op": op, "args": list(a), "args_substituted": list(b)}
     return {
-        "command": "alg check",
-        "inputs": [{"path": args.input, "sha256": digest}],
         "theta": eqrel.eq_to_json(theta),
         "is_congruence": verdict.holds,
         "witness": witness,
     }
 
 
-def _cmd_alg_search(args, budgets) -> dict:
-    data, digest = _read_json(args.input)
-    L = lattice.lattice_from_json(data, max_size=budgets["max_elements"])
+def _cmd_alg_search(args, budgets, L) -> dict:
     result = congruence.search_algebra(
         L,
         max_carrier=args.max_carrier,
@@ -368,8 +347,6 @@ def _cmd_alg_search(args, budgets) -> dict:
         match_dual=args.dual,
     )
     return {
-        "command": "alg search",
-        "inputs": [{"path": args.input, "sha256": digest}],
         "found": result.algebra is not None,
         "algebra": congruence.algebra_to_json(result.algebra) if result.algebra else None,
         "exhausted_budget": result.exhausted_budget,
@@ -378,18 +355,18 @@ def _cmd_alg_search(args, budgets) -> dict:
     }
 
 
-def _cmd_reasonable(args, budgets) -> dict:
-    data, digest = _read_json(args.input)
-    EL = lattice.equivalenced_from_json(data)
+def _cmd_reasonable(args, budgets, EL) -> dict:
     verdict = diversity.is_reasonable(EL, max_elements=budgets["max_order_elements"])
     return {
-        "command": "reasonable",
-        "inputs": [{"path": args.input, "sha256": digest}],
         "reasonable": verdict.reasonable,
         "witness_order": list(verdict.witness_order) if verdict.witness_order else None,
         "obstruction": list(verdict.obstruction) if verdict.obstruction else None,
         "equivalenced": lattice.equivalenced_to_json(EL),
     }
+
+
+def _cmd_export_dot(args, budgets, L) -> str:
+    return lattice.lattice_to_dot(L)
 
 
 # ---------------------------------------------------------------------------
@@ -410,117 +387,90 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="finlat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(subparsers, name, run, load, inputs="input", **kwargs):
+        """A subcommand that reports as its own name, with its handler and loader.
+
+        inputs is "lattice" (a file or --std), "input" (one file) or None
+        (the caller adds the file argument, with dest "input").
+        """
+        p = subparsers.add_parser(name, **kwargs)
+        p.set_defaults(run=run, load=load, report_name=p.prog.split(" ", 1)[1])
+        if inputs == "lattice":
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("input", nargs="?", help="lattice JSON file")
+            group.add_argument("--std", help="standard lattice, e.g. m(3), pentagon, boolean(2)")
+        elif inputs == "input":
+            p.add_argument("input")
         p.add_argument("--pretty", action="store_true", help="human-readable output")
         p.add_argument("--expect", action="append", metavar="KEY=VALUE",
                        help="assert a report field; failures set exit code 1")
         p.add_argument("--budget", action="append", metavar="NAME=VALUE",
                        help="override a budget (also via FINLAT_<NAME> env vars)")
         p.add_argument("--timings", action="store_true", help="include elapsed_ms")
+        return p
 
-    def lattice_input(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("input", nargs="?", help="lattice JSON file")
-        group.add_argument("--std", help="standard lattice, e.g. m(3), pentagon, boolean(2)")
+    command(sub, "analyze", _cmd_analyze, _lattice, "lattice",
+            help="lattice axioms and distributivity, all methods")
 
-    p = sub.add_parser("analyze", help="lattice axioms and distributivity, all methods")
-    lattice_input(p)
-    common(p)
-
-    p = sub.add_parser("ranks", help="enumerate rank maps and ranksets")
-    lattice_input(p)
+    p = command(sub, "ranks", _cmd_ranks, _lattice, "lattice", help="enumerate rank maps and ranksets")
     p.add_argument("--blass", action="store_true")
     p.add_argument("--gaifman", action="store_true")
-    common(p)
 
-    p = sub.add_parser("rep", help="representation checks")
-    rep_sub = p.add_subparsers(dest="rep_command", required=True)
-    q = rep_sub.add_parser("verify")
-    q.add_argument("input")
-    common(q)
-    q = rep_sub.add_parser("cpp")
-    q.add_argument("input")
-    q.add_argument("--depth", type=int, required=True)
-    common(q)
-    q = rep_sub.add_parser("ranked")
-    q.add_argument("input")
-    q.add_argument("--rho", required=True, help="comma-separated rank map")
-    q.add_argument("--bound", type=int, required=True)
-    common(q)
-    q = rep_sub.add_parser("family-closure")
-    q.add_argument("inputs", nargs="+")
-    common(q)
+    rep_sub = sub.add_parser("rep", help="representation checks").add_subparsers(
+        dest="rep_command", required=True)
+    command(rep_sub, "verify", _cmd_rep_verify, _rep)
+    p = command(rep_sub, "cpp", _cmd_rep_cpp, _rep)
+    p.add_argument("--depth", type=int, required=True)
+    p = command(rep_sub, "ranked", _cmd_rep_ranked, _rep)
+    p.add_argument("--rho", required=True, help="comma-separated rank map")
+    p.add_argument("--bound", type=int, required=True)
+    p = command(rep_sub, "family-closure", _cmd_rep_family, _rep, inputs=None)
+    p.add_argument("input", nargs="+", metavar="inputs")
 
-    p = sub.add_parser("crt2", help="canonical Ramsey search and survey")
+    p = command(sub, "crt2", _cmd_crt2, _pair_function, inputs=None,
+                help="canonical Ramsey search and survey")
     p.add_argument("--survey", action="store_true")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--fn", help="pair function JSON file")
+    p.add_argument("--fn", dest="input", metavar="FN", help="pair function JSON file")
     p.add_argument("--csv", help="write per-kernel CSV here")
-    common(p)
 
-    p = sub.add_parser("alg", help="finite algebra commands")
-    alg_sub = p.add_subparsers(dest="alg_command", required=True)
-    q = alg_sub.add_parser("cg")
-    q.add_argument("input")
-    common(q)
-    q = alg_sub.add_parser("check")
-    q.add_argument("input")
-    q.add_argument("--theta", required=True, help="comma-separated class ids")
-    common(q)
-    q = alg_sub.add_parser("search")
-    q.add_argument("input")
-    q.add_argument("--max-carrier", type=int, default=congruence.MAX_SEARCH_CARRIER)
-    q.add_argument("--max-unary", type=int, default=3)
-    q.add_argument("--max-binary", type=int, default=0)
-    q.add_argument("--dual", action="store_true")
-    common(q)
+    alg_sub = sub.add_parser("alg", help="finite algebra commands").add_subparsers(
+        dest="alg_command", required=True)
+    command(alg_sub, "cg", _cmd_alg_cg, _algebra)
+    p = command(alg_sub, "check", _cmd_alg_check, _algebra)
+    p.add_argument("--theta", required=True, help="comma-separated class ids")
+    p = command(alg_sub, "search", _cmd_alg_search, _lattice)
+    p.add_argument("--max-carrier", type=int, default=congruence.MAX_SEARCH_CARRIER)
+    p.add_argument("--max-unary", type=int, default=3)
+    p.add_argument("--max-binary", type=int, default=0)
+    p.add_argument("--dual", action="store_true")
 
-    p = sub.add_parser("reasonable", help="equivalenced lattice reasonableness")
-    p.add_argument("input")
-    common(p)
+    command(sub, "reasonable", _cmd_reasonable, _equivalenced, help="equivalenced lattice reasonableness")
 
-    p = sub.add_parser("export-dot", help="Hasse diagram as DOT")
-    lattice_input(p)
+    p = command(sub, "export-dot", _cmd_export_dot, _lattice, "lattice", help="Hasse diagram as DOT")
     p.add_argument("-o", "--output", help="write DOT here instead of stdout")
-    common(p)
 
     return parser
 
 
-_DISPATCH = {
-    ("analyze", None): _cmd_analyze,
-    ("ranks", None): _cmd_ranks,
-    ("rep", "verify"): _cmd_rep_verify,
-    ("rep", "cpp"): _cmd_rep_cpp,
-    ("rep", "ranked"): _cmd_rep_ranked,
-    ("rep", "family-closure"): _cmd_rep_family,
-    ("crt2", None): _cmd_crt2,
-    ("alg", "cg"): _cmd_alg_cg,
-    ("alg", "check"): _cmd_alg_check,
-    ("alg", "search"): _cmd_alg_search,
-    ("reasonable", None): _cmd_reasonable,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        budgets = _Budgets(_parse_budget_flags(getattr(args, "budget", None)))
-        if args.command == "export-dot":
-            L, _ = _load_lattice(args, budgets)
-            text = lattice.lattice_to_dot(L)
-            if args.output:
-                _write_atomic(args.output, text)
-            else:
-                sys.stdout.write(text)
-            return 0
-        sub_name = getattr(args, "rep_command", None) or getattr(args, "alg_command", None)
-        handler = _DISPATCH[(args.command, sub_name)]
+        budgets = _budgets(args.budget)
         start = time.monotonic()
-        report = handler(args, budgets)
-        report["budget_overrides"] = budgets.overridden()
+        values, inputs = _load(args, budgets)
+        body = args.run(args, budgets, *values)
+        if isinstance(body, str):  # export-dot: the DOT text, not a report
+            if args.output:
+                _write_atomic(args.output, body)
+            else:
+                sys.stdout.write(body)
+            return 0
+        report = {"command": args.report_name, "inputs": inputs, **body}
+        report["budget_overrides"] = sorted(
+            f"{name}={value}" for name, value in budgets.items() if value != _BUDGET_NAMES[name]
+        )
         if args.timings:
             report["elapsed_ms"] = round((time.monotonic() - start) * 1000, 3)
         failures = _check_expectations(report, args.expect)
@@ -529,18 +479,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = _pretty(report) if args.pretty else json.dumps(report, indent=2, sort_keys=True) + "\n"
         sys.stdout.write(text)
         return 1 if failures else 0
-    except (ParseError, SizeLimit, InvalidParameter, FinlatError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    except (FinlatError, ValueError, OSError) as exc:
+        # input and budget errors, malformed numeric flags, unwritable output paths
+        error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SizeLimit):
-            error["error"]["dimension"] = exc.dimension
-            error["error"]["actual"] = exc.actual
-            error["error"]["limit"] = exc.limit
-        sys.stderr.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
-        return 2
-    except (ValueError, OSError) as exc:
-        # malformed numeric flags, unwritable output paths
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stderr.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
+            error.update(dimension=exc.dimension, actual=exc.actual, limit=exc.limit)
+        sys.stderr.write(json.dumps({"error": error}, indent=2, sort_keys=True) + "\n")
         return 2
 
 

@@ -15,15 +15,14 @@ from typing import Optional, Sequence
 
 from .eqrel import (
     EquivalenceRelation,
+    _UnionFind,
     all_partitions,
     discrete_eq,
-    from_class_ids,
     join_eq,
-    partition_label,
-    refines,
+    refinement_lattice,
 )
 from .errors import FinlatError, GroundMismatch, InvalidParameter, SizeLimit
-from .lattice import FiniteLattice, build_lattice, dual, lattice_isomorphism
+from .lattice import FiniteLattice, dual, lattice_isomorphism
 
 MAX_CG_CARRIER = 10
 MAX_SEARCH_CARRIER = 4
@@ -120,23 +119,9 @@ def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> EquivalenceRelatio
     """Least congruence relating a and b, by closure under the operations."""
     if not (0 <= a < A.size and 0 <= b < A.size):
         raise InvalidParameter("elements must lie in the carrier")
-    parent = list(range(A.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        return True
-
+    sets = _UnionFind(A.size)
     queue = []
-    if union(a, b):
+    if sets.union(a, b):
         queue.append((a, b))
     while queue:
         u, v = queue.pop()
@@ -149,9 +134,9 @@ def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> EquivalenceRelatio
                         continue
                     other = args[:pos] + (v,) + args[pos + 1 :]
                     x, y = A.apply(op_index, args), A.apply(op_index, other)
-                    if union(x, y):
+                    if sets.union(x, y):
                         queue.append((x, y))
-    return from_class_ids([find(x) for x in range(A.size)])
+    return sets.relation()
 
 
 def _join_congruence(A: FiniteAlgebra, t1: EquivalenceRelation, t2: EquivalenceRelation) -> EquivalenceRelation:
@@ -198,14 +183,7 @@ class CongruenceLattice:
 def congruence_lattice(A: FiniteAlgebra, max_carrier: int = MAX_CG_CARRIER) -> CongruenceLattice:
     """Cg(A) ordered by inclusion; element i is congruences[i], labeled by its classes."""
     congs = all_congruences(A, max_carrier=max_carrier)
-    pairs = [
-        (i, j)
-        for i, t1 in enumerate(congs)
-        for j, t2 in enumerate(congs)
-        if refines(t1, t2)
-    ]
-    lat = build_lattice(len(congs), pairs, labels=tuple(partition_label(t) for t in congs))
-    return CongruenceLattice(lat, congs)
+    return CongruenceLattice(refinement_lattice(congs), congs)
 
 
 @dataclass(frozen=True)
@@ -285,13 +263,7 @@ def search_algebra(
             congs = [parts[i] for i in range(len(parts)) if mask >> i & 1]
             ok = False
             if len(congs) == target.size:
-                pairs = [
-                    (i, j)
-                    for i, t1 in enumerate(congs)
-                    for j, t2 in enumerate(congs)
-                    if refines(t1, t2)
-                ]
-                lat = build_lattice(len(congs), pairs)
+                lat = refinement_lattice(congs)
                 ok = lattice_isomorphism(target, lat) is not None
             seen_masks[mask] = ok
             return ok

@@ -26,11 +26,6 @@ class ReasonableVerdict:
     obstruction: Optional[tuple[int, int]]  # E-pair with mismatched ideal sizes
 
 
-def _nontrivial_pairs(EL: EquivalencedLattice) -> list[tuple[int, int]]:
-    n = EL.lattice.size
-    return [(a, b) for a in range(n) for b in range(a + 1, n) if EL.E.relates(a, b)]
-
-
 def is_reasonable(
     EL: EquivalencedLattice,
     max_elements: int = MAX_ORDER_ELEMENTS,
@@ -45,7 +40,7 @@ def is_reasonable(
     L = EL.lattice
     if L.size > max_elements:
         raise SizeLimit("reasonableness lattice size", L.size, max_elements)
-    pairs = _nontrivial_pairs(EL)
+    pairs = EL.E.pairs()
     ideals = {a: ideal_elements(L, a) for a in range(L.size)}
     if fast_path:
         for a, b in pairs:

@@ -13,9 +13,9 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
-from .errors import EmptySubset, GroundMismatch, InvalidParameter
+from .errors import EmptySubset, GroundMismatch, InvalidParameter, SizeLimit
 
 
 def _canonical_ids(values: Sequence[Hashable]) -> tuple[int, ...]:
@@ -113,6 +113,41 @@ def kernel_of(values: Sequence[Hashable]) -> EquivalenceRelation:
     return EquivalenceRelation(len(values), _canonical_ids(values))
 
 
+class _UnionFind:
+    """Disjoint sets on {0..n-1}, merged one pair at a time.
+
+    The sets start as singletons, or as the classes of `start`.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int, start: Optional[EquivalenceRelation] = None):
+        if start is None:
+            self.parent = list(range(n))
+        else:
+            first: dict[int, int] = {}
+            self.parent = [first.setdefault(c, point) for point, c in enumerate(start.class_id)]
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the sets of x and y; False when they were already one set."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
+
+    def relation(self) -> EquivalenceRelation:
+        """The partition into the current sets, in canonical form."""
+        return from_class_ids([self.find(x) for x in range(len(self.parent))])
+
+
 def meet_eq(t1: EquivalenceRelation, t2: EquivalenceRelation) -> EquivalenceRelation:
     """Intersection of the two relations: the common refinement."""
     if t1.ground_size != t2.ground_size:
@@ -124,22 +159,13 @@ def join_eq(t1: EquivalenceRelation, t2: EquivalenceRelation) -> EquivalenceRela
     """Transitive closure of the union, computed by union-find."""
     if t1.ground_size != t2.ground_size:
         raise GroundMismatch(f"ground sizes differ: {t1.ground_size} != {t2.ground_size}")
-    n = t1.ground_size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for rel in (t1, t2):
-        first_seen: dict[int, int] = {}
-        for point, c in enumerate(rel.class_id):
-            anchor = first_seen.setdefault(c, point)
-            if anchor != point:
-                parent[find(point)] = find(anchor)
-    return from_class_ids([find(x) for x in range(n)])
+    sets = _UnionFind(t1.ground_size, t1)
+    first_seen: dict[int, int] = {}
+    for point, c in enumerate(t2.class_id):
+        anchor = first_seen.setdefault(c, point)
+        if anchor != point:
+            sets.union(anchor, point)
+    return sets.relation()
 
 
 def restrict_eq(t: EquivalenceRelation, subset: Iterable[int]) -> EquivalenceRelation:
@@ -237,26 +263,29 @@ def partition_label(t: EquivalenceRelation) -> str:
     return "|".join("".join(str(p) for p in cls) for cls in t.classes())
 
 
-def eq_lattice(n: int, max_ground: int = 5):
-    """Eq(n) as an explicit FiniteLattice, ordered by inclusion.
-
-    Exponential in n, so guarded by a small budget; elements are indexed in
-    the lexicographic order of all_partitions(n).
-    """
-    from .errors import SizeLimit
+def refinement_lattice(parts: Sequence[EquivalenceRelation]):
+    """The given relations ordered by refines; element i is parts[i], labeled by its classes."""
     from .lattice import build_lattice
 
-    if n > max_ground:
-        raise SizeLimit("eq_lattice ground", n, max_ground)
-    parts = list(all_partitions(n))
     pairs = [
         (i, j)
         for i, t1 in enumerate(parts)
         for j, t2 in enumerate(parts)
         if refines(t1, t2)
     ]
-    lat = build_lattice(len(parts), pairs, labels=tuple(partition_label(t) for t in parts))
-    return lat, tuple(parts)
+    return build_lattice(len(parts), pairs, labels=tuple(partition_label(t) for t in parts))
+
+
+def eq_lattice(n: int, max_ground: int = 5):
+    """Eq(n) as an explicit FiniteLattice, ordered by inclusion.
+
+    Exponential in n, so guarded by a small budget; elements are indexed in
+    the lexicographic order of all_partitions(n).
+    """
+    if n > max_ground:
+        raise SizeLimit("eq_lattice ground", n, max_ground)
+    parts = tuple(all_partitions(n))
+    return refinement_lattice(parts), parts
 
 
 def eq_to_json(t: EquivalenceRelation) -> dict:

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .eqrel import EquivalenceRelation, from_class_ids
+from .eqrel import EquivalenceRelation, _UnionFind
 from .errors import InvalidParameter, NotALattice, NotAPartialOrder, SizeLimit
 
 MAX_ELEMENTS = 4096
@@ -252,22 +252,33 @@ def hexagon() -> FiniteLattice:
 _STANDARD_RE = re.compile(r"^(boolean|m|chain)\((\d+)\)$")
 
 
-def standard_lattice(kind: str) -> FiniteLattice:
-    """Parse a description like 'boolean(3)', 'm(3)', 'chain(4)', 'pentagon', 'hexagon'."""
+def standard_lattice(kind: str, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
+    """Parse a description like 'boolean(3)', 'm(3)', 'chain(4)', 'pentagon', 'hexagon'.
+
+    Raises SizeLimit before anything is built when the element count
+    exceeds max_size.  boolean(n) is compared through bit lengths, so a huge
+    n costs nothing; its count is reported as the string '2^n' from n = 64.
+    """
     kind = kind.strip()
-    if kind == "pentagon":
-        return pentagon()
-    if kind == "hexagon":
-        return hexagon()
     match = _STANDARD_RE.match(kind)
-    if not match:
+    if kind not in ("pentagon", "hexagon") and not match:
         raise InvalidParameter(f"unknown standard lattice {kind!r}")
-    name, arg = match.group(1), int(match.group(2))
+    name, arg = (match.group(1), int(match.group(2))) if match else (kind, 0)
+    if name != "boolean":
+        size = {"pentagon": 5, "hexagon": 6, "m": arg + 2, "chain": arg}[name]
+    elif arg < max_size.bit_length():
+        size = 1 << arg
+    else:
+        raise SizeLimit("lattice size", 1 << arg if arg < 64 else f"2^{arg}", max_size)
+    if size > max_size:
+        raise SizeLimit("lattice size", size, max_size)
     if name == "boolean":
         return boolean_lattice(arg)
     if name == "m":
         return m_lattice(arg)
-    return chain_lattice(arg)
+    if name == "chain":
+        return chain_lattice(arg)
+    return pentagon() if name == "pentagon" else hexagon()
 
 
 # ---------------------------------------------------------------------------
@@ -624,24 +635,16 @@ def equivalenced_to_json(EL: EquivalencedLattice) -> dict:
     return data
 
 
-def equivalenced_from_json(data: dict) -> EquivalencedLattice:
+def equivalenced_from_json(data: dict, max_size: int = MAX_ELEMENTS) -> EquivalencedLattice:
     if "E" not in data:
         raise InvalidParameter("equivalenced lattice JSON needs 'E'")
-    lat = lattice_from_json(data)
-    parent = list(range(lat.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    lat = lattice_from_json(data, max_size=max_size)
+    sets = _UnionFind(lat.size)
     for a, b in data["E"]:
         if not (0 <= int(a) < lat.size and 0 <= int(b) < lat.size):
             raise InvalidParameter(f"E pair ({a}, {b}) outside the element set")
-        parent[find(int(a))] = find(int(b))
-    rel = from_class_ids([find(x) for x in range(lat.size)])
-    return EquivalencedLattice(lat, rel)
+        sets.union(int(a), int(b))
+    return EquivalencedLattice(lat, sets.relation())
 
 
 def lattice_to_dot(L: FiniteLattice, name: str = "lattice") -> str:

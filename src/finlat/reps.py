@@ -32,7 +32,7 @@ from .eqrel import (
     trivial_eq,
 )
 from .errors import EmptySubset, GroundMismatch, InvalidParameter, SizeLimit
-from .lattice import DegenerateParameterWarning, FiniteLattice, boolean_lattice, m_lattice
+from .lattice import MAX_ELEMENTS, DegenerateParameterWarning, FiniteLattice, boolean_lattice, m_lattice
 
 MAX_CPP_GROUND = 7
 MAX_ISO_GROUND = 10
@@ -463,12 +463,12 @@ def rep_to_json(R: Representation) -> dict:
     return data
 
 
-def rep_from_json(data: dict) -> Representation:
+def rep_from_json(data: dict, max_size: int = MAX_ELEMENTS) -> Representation:
     from .lattice import lattice_from_json
 
-    if not isinstance(data, dict) or "lattice" not in data or "alpha" not in data:
+    if not isinstance(data, dict) or not {"lattice", "ground", "alpha"} <= data.keys():
         raise InvalidParameter("representation JSON needs 'lattice', 'ground' and 'alpha'")
-    lat = lattice_from_json(data["lattice"])
+    lat = lattice_from_json(data["lattice"], max_size=max_size)
     ground = int(data["ground"])
     alpha = []
     for r in range(lat.size):

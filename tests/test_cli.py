@@ -1,7 +1,10 @@
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import time
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -261,3 +264,81 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["distributive"] is True
+
+
+class TestBadInput:
+    """Malformed and over-budget input exits 2 with a typed error on stderr alone."""
+
+    def error(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return json.loads(captured.err)["error"]
+
+    def test_rep_without_ground(self, capsys, tmp_path):
+        data = json.loads((DATA / "m3_base_rep.json").read_text())
+        del data["ground"]
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(data))
+        err = self.error(capsys, ["rep", "verify", str(path)])
+        assert err["type"] == "ParseError" and err["message"].startswith(f"{path}: ")
+
+    def test_algebra_op_without_table(self, capsys, tmp_path):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"size": 2, "ops": [{"arity": 1}]}))
+        for argv in (["alg", "cg", str(path)], ["alg", "check", str(path), "--theta", "0,1"]):
+            err = self.error(capsys, argv)
+            assert err["type"] == "ParseError" and err["message"].startswith(f"{path}: ")
+
+    def test_std_over_element_budget(self, capsys):
+        err = self.error(capsys, ["analyze", "--std", "chain(20)", "--budget", "max_elements=10"])
+        assert (err["type"], err["dimension"], err["actual"], err["limit"]) == ("SizeLimit", "lattice size", 20, 10)
+
+    def test_huge_std_refused_before_building(self, capsys):
+        for std in ("chain(1000000000)", "boolean(1000000000)"):
+            start = time.perf_counter()
+            err = self.error(capsys, ["analyze", "--std", std])
+            assert time.perf_counter() - start < 0.1
+            assert err["type"] == "SizeLimit" and err["limit"] == 4096
+
+    @pytest.mark.parametrize("argv", [
+        ["rep", "verify", "pairs_b2_4.json"],
+        ["rep", "family-closure", "m3_base_rep.json"],
+        ["reasonable", "n5_bc.json"],
+        ["analyze", "m3.json"],
+        ["alg", "search", "chain3.json"],
+    ])
+    def test_files_over_element_budget(self, capsys, argv):
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        err = self.error(capsys, argv + ["--budget", "max_elements=2"])
+        assert (err["type"], err["dimension"], err["limit"]) == ("SizeLimit", "lattice size", 2)
+
+
+# One run of each command on tests/data; stdout must match tests/golden/cli
+# byte for byte, with the data directory written as tests/data.
+GOLDEN_RUNS = {
+    "analyze": ["analyze", "n5.json"],
+    "ranks": ["ranks", "n5.json", "--blass", "--gaifman"],
+    "rep-verify": ["rep", "verify", "m3_base_rep.json"],
+    "rep-cpp": ["rep", "cpp", "chain2_rep4.json", "--depth", "1"],
+    "rep-ranked": ["rep", "ranked", "pairs_b2_4.json", "--rho", "3,3,3,3", "--bound", "6"],
+    "rep-family-closure": ["rep", "family-closure", "chain2_rep5.json", "chain2_rep4.json"],
+    "crt2": ["crt2", "--fn", "sum5_fn.json", "--k", "3"],
+    "alg-cg": ["alg", "cg", "klein.json"],
+    "alg-check": ["alg", "check", "z4.json", "--theta", "0,0,1,1"],
+    "alg-search": ["alg", "search", "chain3.json", "--max-carrier", "4"],
+    "reasonable": ["reasonable", "n5_bc.json"],
+    "export-dot": ["export-dot", "h.json"],
+}
+
+
+def golden_stdout(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main([str(DATA / a) if a.endswith(".json") else a for a in argv])
+    return code, out.getvalue().replace(str(DATA), "tests/data")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_stdout_matches_golden(name):
+    assert golden_stdout(GOLDEN_RUNS[name]) == (0, (GOLDEN / "cli" / f"{name}.out").read_text())

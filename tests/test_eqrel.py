@@ -15,7 +15,9 @@ from finlat.eqrel import (
     join_eq,
     kernel_of,
     meet_eq,
+    partition_label,
     permute_eq,
+    refinement_lattice,
     refines,
     restrict_eq,
     restricted_growth_strings,
@@ -178,6 +180,12 @@ class TestEnumeration:
             for i in range(5)
             for j in range(5)
         )
+
+    def test_refinement_lattice_of_a_subfamily(self):
+        parts = [from_class_ids(ids) for ids in ((0, 1, 2, 3), (0, 0, 1, 1), (0, 1, 0, 1), (0, 0, 0, 0))]
+        lat = refinement_lattice(parts)
+        assert lat.labels == tuple(partition_label(t) for t in parts)
+        assert all(lat.le(i, j) == refines(parts[i], parts[j]) for i in range(4) for j in range(4))
 
     def test_eq_lattice_budget(self):
         with pytest.raises(SizeLimit):

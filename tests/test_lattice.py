@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +117,23 @@ class TestStandardLattices:
         assert standard_lattice("pentagon").size == 5
         with pytest.raises(InvalidParameter):
             standard_lattice("dodecahedron")
+
+    def test_standard_parser_budget(self):
+        for kind, size in [("chain(20)", 20), ("m(9)", 11), ("boolean(4)", 16), ("pentagon", 5), ("hexagon", 6)]:
+            assert standard_lattice(kind, max_size=size).size == size
+            with pytest.raises(SizeLimit) as info:
+                standard_lattice(kind, max_size=size - 1)
+            assert (info.value.dimension, info.value.actual, info.value.limit) == ("lattice size", size, size - 1)
+
+    def test_standard_budget_checked_before_building(self):
+        start = time.perf_counter()
+        for kind in ("chain(1000000000)", "m(1000000000)", "boolean(1000000000)"):
+            with pytest.raises(SizeLimit):
+                standard_lattice(kind)
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(SizeLimit) as info:
+            standard_lattice("boolean(64)")
+        assert info.value.actual == "2^64"
 
     def test_boolean_from_covers_matches_all_subset_pairs(self):
         for k in range(6):
@@ -408,6 +426,18 @@ class TestSerialization:
         data = equivalenced_to_json(EL)
         again = equivalenced_from_json(json.loads(json.dumps(data)))
         assert again.lattice == EL.lattice and again.E == EL.E
+
+    def test_equivalenced_budget(self):
+        from finlat.eqrel import from_class_ids
+
+        data = equivalenced_to_json(EquivalencedLattice(pentagon(), from_class_ids((0, 1, 2, 2, 3))))
+        assert equivalenced_from_json(data, max_size=5).lattice == pentagon()
+        with pytest.raises(SizeLimit):
+            equivalenced_from_json(data, max_size=4)
+
+    def test_equivalenced_pairs_merge_transitively(self):
+        data = {"size": 5, "leq": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]], "E": [[1, 2], [3, 2]]}
+        assert equivalenced_from_json(data).E.classes() == ((0,), (1, 2, 3), (4,))
 
     def test_dot_golden(self):
         import pathlib

@@ -377,6 +377,18 @@ class TestSerialization:
         with pytest.raises(InvalidParameter):
             rep_from_json(data)
 
+    def test_missing_ground(self):
+        data = rep_to_json(m3_base_rep())
+        del data["ground"]
+        with pytest.raises(InvalidParameter):
+            rep_from_json(data)
+
+    def test_lattice_budget(self):
+        data = rep_to_json(m3_base_rep())
+        assert rep_from_json(data, max_size=5) == m3_base_rep()
+        with pytest.raises(SizeLimit):
+            rep_from_json(data, max_size=4)
+
 
 @given(st.permutations(list(range(6))))
 def test_relabel_always_isomorphic(perm):
