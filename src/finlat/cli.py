@@ -14,6 +14,7 @@ environment variables, then module defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -383,7 +384,13 @@ def _pretty(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on the first call.
+
+    The handlers it binds reach the library through module attributes at
+    call time, so wrapping those attributes later still takes effect.
+    """
     parser = argparse.ArgumentParser(prog="finlat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

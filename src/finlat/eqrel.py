@@ -295,4 +295,9 @@ def eq_to_json(t: EquivalenceRelation) -> dict:
 def eq_from_json(data: dict) -> EquivalenceRelation:
     if not isinstance(data, dict) or "ground" not in data or "classes" not in data:
         raise InvalidParameter("equivalence relation JSON needs 'ground' and 'classes'")
-    return from_classes(int(data["ground"]), data["classes"])
+    ground, classes = int(data["ground"]), data["classes"]
+    # checked before from_classes allocates a vector of the claimed size
+    listed = sum(len(cls) for cls in classes)
+    if ground != listed:
+        raise InvalidParameter(f"ground {ground} but the classes list {listed} points")
+    return from_classes(ground, classes)

@@ -162,6 +162,9 @@ def crt2_survey(n: int, k: int, max_kernels: int = MAX_SURVEY_KERNELS) -> Crt2Su
     if k < 3:
         raise InvalidParameter("subset size must be at least 3")
     num_pairs = n * (n - 1) // 2
+    # B(m) >= 2^(m-1), so the Bell number need not be computed to see it is too large
+    if num_pairs - 1 >= max_kernels.bit_length():
+        raise SizeLimit("survey kernels", f"B({num_pairs})", max_kernels)
     kernels = bell_number(num_pairs)
     if kernels > max_kernels:
         raise SizeLimit("survey kernels", kernels, max_kernels)

@@ -17,22 +17,26 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import eqrel
 from .eqrel import (
     EquivalenceRelation,
-    all_partitions,
+    _canonical_ids,
     discrete_eq,
     eq_stats,
     kernel_of,
     meet_eq,
     restrict_eq,
+    restricted_growth_strings,
     trivial_eq,
 )
 from .errors import EmptySubset, GroundMismatch, InvalidParameter, SizeLimit
 from .lattice import MAX_ELEMENTS, DegenerateParameterWarning, FiniteLattice, boolean_lattice, m_lattice
+from .lattice import lattice_from_json, lattice_to_json
 
 MAX_CPP_GROUND = 7
 MAX_ISO_GROUND = 10
@@ -183,10 +187,7 @@ def canonical_for(theta: EquivalenceRelation, R: Representation) -> Optional[int
     """The least lattice element whose image equals theta, or None."""
     if theta.ground_size != R.ground_size:
         raise GroundMismatch("theta must live on the representation's ground set")
-    for r, rel in enumerate(R.alpha):
-        if rel == theta:
-            return r
-    return None
+    return next((r for r, rel in enumerate(R.alpha) if rel == theta), None)
 
 
 @dataclass(frozen=True)
@@ -197,10 +198,8 @@ class ZeroCppVerdict:
 
 def is_0cpp(R: Representation) -> ZeroCppVerdict:
     """True iff no image has exactly two classes."""
-    for r, rel in enumerate(R.alpha):
-        if rel.num_classes == 2:
-            return ZeroCppVerdict(False, r)
-    return ZeroCppVerdict(True, None)
+    r = next((r for r, rel in enumerate(R.alpha) if rel.num_classes == 2), None)
+    return ZeroCppVerdict(r is None, r)
 
 
 @dataclass(frozen=True)
@@ -220,9 +219,32 @@ class CppVerdict:
     certificate: tuple[CppChoice, ...]
 
 
-def _subsets_desc(n: int):
-    for size in range(n, 0, -1):
-        yield from combinations(range(n), size)
+def _subset_table(alpha: tuple) -> list:
+    """(subset, picker of its points, restricted images, their set) for every
+    nonempty subset of the ground of alpha, largest first, then lexicographic."""
+    n, table = len(alpha[0]), []
+    for subset in (s for size in range(n, 0, -1) for s in combinations(range(n), size)):
+        pick = itemgetter(*subset) if len(subset) > 1 else (lambda ids, p=subset[0]: (ids[p],))
+        images = tuple(_canonical_ids(pick(ids)) for ids in alpha)
+        table.append((subset, pick, images, frozenset(images)))
+    return table
+
+
+def _canonical_scan(table: list, good: Callable[[tuple, tuple], bool]):
+    """Pair each partition theta (class ids, restricted_growth_strings order)
+    with the first subset whose images hold theta restricted to it and whose
+    good(subset, images) holds, or None; good runs at most once per subset."""
+    verdicts: list[Optional[bool]] = [None] * len(table)
+    for theta in restricted_growth_strings(len(table[0][0])):
+        found = None
+        for k, (subset, pick, images, image_set) in enumerate(table):
+            if _canonical_ids(pick(theta)) in image_set:
+                if verdicts[k] is None:
+                    verdicts[k] = good(subset, images)
+                if verdicts[k]:
+                    found = subset
+                    break
+        yield theta, found
 
 
 def is_ncpp(R: Representation, depth: int, max_ground: int = MAX_CPP_GROUND) -> CppVerdict:
@@ -237,41 +259,33 @@ def is_ncpp(R: Representation, depth: int, max_ground: int = MAX_CPP_GROUND) -> 
     """
     if depth < 0:
         raise InvalidParameter("depth must be nonnegative")
-    if depth > 0 and R.ground_size > max_ground:
+    if depth == 0:
+        zero = is_0cpp(R)
+        return CppVerdict(zero.holds, 0, None, zero.witness, ())
+    if R.ground_size > max_ground:
         raise SizeLimit("cpp ground", R.ground_size, max_ground)
-    memo: dict[tuple[tuple[EquivalenceRelation, ...], int], CppVerdict] = {}
+    table = cache(_subset_table)  # for this call only, like levels
+    levels: dict[tuple, list[bool]] = {}
 
-    def decide(rep: Representation, d: int) -> CppVerdict:
-        if d == 0:
-            zero = is_0cpp(rep)
-            return CppVerdict(zero.holds, 0, None, zero.witness, ())
-        key = (rep.alpha, d)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        choices: list[CppChoice] = []
-        verdict: CppVerdict | None = None
-        for theta in all_partitions(rep.ground_size):
-            found = None
-            for subset in _subsets_desc(rep.ground_size):
-                restricted = restrict_rep(rep, subset)
-                if not is_representation(restricted).injective:
-                    continue
-                if canonical_for(restrict_eq(theta, subset), restricted) is None:
-                    continue
-                if decide(restricted, d - 1).holds:
-                    found = subset
-                    break
-            if found is None:
-                verdict = CppVerdict(False, d, theta, None, ())
-                break
-            choices.append(CppChoice(theta, found))
-        if verdict is None:
-            verdict = CppVerdict(True, d, None, None, tuple(choices))
-        memo[key] = verdict
-        return verdict
+    def scan(alpha: tuple, d: int):
+        return _canonical_scan(table(alpha), lambda _, images: len(set(images)) == len(images)
+                               and holds(images, d - 1))
 
-    return decide(R, depth)
+    def holds(alpha: tuple, d: int) -> bool:
+        # levels[alpha][d] is whether alpha is d-CPP, filled lowest depth
+        # first so that the recursion descends only through smaller grounds
+        known = levels.setdefault(alpha, [all(max(ids) != 1 for ids in alpha)])
+        while len(known) <= d:
+            known.append(all(subset is not None for _, subset in scan(alpha, len(known))))
+        return known[d]
+
+    choices: list[CppChoice] = []
+    for ids, subset in scan(tuple(rel.class_id for rel in R.alpha), depth):
+        theta = EquivalenceRelation(R.ground_size, ids)
+        if subset is None:
+            return CppVerdict(False, depth, theta, None, ())
+        choices.append(CppChoice(theta, subset))
+    return CppVerdict(True, depth, None, None, tuple(choices))
 
 
 # ---------------------------------------------------------------------------
@@ -413,29 +427,19 @@ def family_closure_check(
         if member.ground_size > max_ground:
             raise SizeLimit("family member ground", member.ground_size, max_ground)
     not_0cpp = tuple(i for i, member in enumerate(family) if not is_0cpp(member).holds)
+    alphas = [tuple(rel.class_id for rel in member.alpha) for member in family]
 
-    def in_family(rep: Representation) -> bool:
-        for member in family:
-            if member == rep or reps_isomorphic(member, rep) is not None:
-                return True
-        return False
+    def in_family(subset: tuple[int, ...], images: tuple) -> bool:
+        n = len(subset)
+        rep = Representation(lat, n, tuple(EquivalenceRelation(n, ids) for ids in images))
+        return any(alpha == images or reps_isomorphic(member, rep) is not None
+                   for member, alpha in zip(family, alphas))
 
-    failure = None
-    for i, member in enumerate(family):
-        for theta in all_partitions(member.ground_size):
-            ok = False
-            for subset in _subsets_desc(member.ground_size):
-                restricted = restrict_rep(member, subset)
-                if canonical_for(restrict_eq(theta, subset), restricted) is None:
-                    continue
-                if in_family(restricted):
-                    ok = True
-                    break
-            if not ok:
-                failure = (i, theta)
-                break
-        if failure:
-            break
+    failure = next((
+        (i, EquivalenceRelation(len(theta), theta))
+        for i, alpha in enumerate(alphas)
+        for theta, subset in _canonical_scan(_subset_table(alpha), in_family) if subset is None
+    ), None)
     closure = failure is None
     return FamilyClosureReport(
         True, not not_0cpp, not_0cpp, closure, failure, closure and not not_0cpp, FAMILY_NOTE
@@ -451,8 +455,6 @@ def rep_flags(R: Representation) -> list[str]:
 
 
 def rep_to_json(R: Representation) -> dict:
-    from .lattice import lattice_to_json
-
     data: dict = {
         "lattice": lattice_to_json(R.lattice),
         "ground": R.ground_size,
@@ -464,8 +466,6 @@ def rep_to_json(R: Representation) -> dict:
 
 
 def rep_from_json(data: dict, max_size: int = MAX_ELEMENTS) -> Representation:
-    from .lattice import lattice_from_json
-
     if not isinstance(data, dict) or not {"lattice", "ground", "alpha"} <= data.keys():
         raise InvalidParameter("representation JSON needs 'lattice', 'ground' and 'alpha'")
     lat = lattice_from_json(data["lattice"], max_size=max_size)

@@ -148,44 +148,59 @@ def _restrict_blocks(partition: frozenset, Y: frozenset) -> frozenset:
     return frozenset(b & Y for b in partition if b & Y)
 
 
+class _CppOracle:
+    """The canonical partition property by literal recursion over set partitions."""
+
+    def __init__(self, R: Representation):
+        self.top_alpha = [_blocks_of(rel) for rel in R.alpha]
+        self.lat_size = R.lattice.size
+        self.ground = frozenset(range(R.ground_size))
+        self.memo: dict[tuple[frozenset, int], bool] = {}
+        self.images: dict[frozenset, set] = {}
+
+    def first_subset(self, theta: frozenset, points: frozenset, d: int):
+        """The first subset of points (largest first, then lexicographic) that
+        is injective, carries theta canonically and is (d-1)-CPP, or None."""
+        pts = sorted(points)
+        for size in range(len(pts), 0, -1):
+            for sub in combinations(pts, size):
+                Y = frozenset(sub)
+                if Y not in self.images:
+                    self.images[Y] = {_restrict_blocks(a, Y) for a in self.top_alpha}
+                aY = self.images[Y]
+                if len(aY) != self.lat_size:
+                    continue  # not injective, hence not a representation
+                if _restrict_blocks(theta, Y) not in aY:
+                    continue  # theta not canonical on Y
+                if self.holds(Y, d - 1):
+                    return sub
+        return None
+
+    def holds(self, points: frozenset, d: int) -> bool:
+        key = (points, d)
+        if key not in self.memo:
+            if d == 0:
+                alpha = [_restrict_blocks(a, points) for a in self.top_alpha]
+                self.memo[key] = all(len(a) != 2 for a in alpha)
+            else:
+                self.memo[key] = all(
+                    self.first_subset(theta, points, d) is not None for theta in set_partitions(points)
+                )
+        return self.memo[key]
+
+
 def oracle_ncpp(R: Representation, depth: int) -> bool:
     """The canonical partition property by literal recursion over set partitions."""
-    top_alpha = [_blocks_of(rel) for rel in R.alpha]
-    lat_size = R.lattice.size
-    memo: dict[tuple[frozenset, int], bool] = {}
+    return _CppOracle(R).holds(frozenset(range(R.ground_size)), depth)
 
-    def holds(points: frozenset, d: int) -> bool:
-        key = (points, d)
-        if key in memo:
-            return memo[key]
-        alpha = [_restrict_blocks(a, points) for a in top_alpha]
-        if d == 0:
-            result = all(len(a) != 2 for a in alpha)
-        else:
-            result = True
-            pts = sorted(points)
-            for theta in set_partitions(points):
-                found = False
-                for size in range(len(pts), 0, -1):
-                    for sub in combinations(pts, size):
-                        Y = frozenset(sub)
-                        aY = [_restrict_blocks(a, Y) for a in top_alpha]
-                        if len(set(aY)) != lat_size:
-                            continue  # not injective, hence not a representation
-                        if _restrict_blocks(theta, Y) not in aY:
-                            continue  # theta not canonical on Y
-                        if holds(Y, d - 1):
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    result = False
-                    break
-        memo[key] = result
-        return result
 
-    return holds(frozenset(range(R.ground_size)), depth)
+def oracle_ncpp_certificate(R: Representation, depth: int) -> Iterator[tuple[frozenset, tuple]]:
+    """The certificate form, for depth >= 1: (theta, its first good subset or
+    None) for every partition theta of the ground, as blocks, lazily and in
+    this module's own partition order."""
+    oracle = _CppOracle(R)
+    for theta in set_partitions(oracle.ground):
+        yield theta, oracle.first_subset(theta, oracle.ground, depth)
 
 
 # ---------------------------------------------------------------------------

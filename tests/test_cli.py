@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
@@ -301,6 +302,33 @@ class TestBadInput:
             assert time.perf_counter() - start < 0.1
             assert err["type"] == "SizeLimit" and err["limit"] == 4096
 
+    def test_huge_eq_ground_refused_before_allocating(self, capsys, tmp_path):
+        # under 200 bytes that claim ten million points in every image
+        ground = 10**7
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({
+            "lattice": {"size": 2, "leq": [[0, 1]]},
+            "ground": ground,
+            "alpha": {"0": {"ground": ground, "classes": [[0]]}, "1": {"ground": ground, "classes": [[0]]}},
+        }))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            err = self.error(capsys, ["rep", "verify", str(path)])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err["type"] == "ParseError" and err["message"].startswith(f"{path}: ")
+        assert elapsed < 0.1 and peak < 4_000_000
+
+    def test_huge_survey_refused_before_counting(self, capsys):
+        start = time.perf_counter()
+        err = self.error(capsys, ["crt2", "--survey", "--n", "200", "--k", "3"])
+        assert time.perf_counter() - start < 0.1
+        assert (err["type"], err["dimension"], err["actual"], err["limit"]) == (
+            "SizeLimit", "survey kernels", "B(19900)", 200_000)
+
     @pytest.mark.parametrize("argv", [
         ["rep", "verify", "pairs_b2_4.json"],
         ["rep", "family-closure", "m3_base_rep.json"],
@@ -342,3 +370,14 @@ def golden_stdout(argv) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_stdout_matches_golden(name):
     assert golden_stdout(GOLDEN_RUNS[name]) == (0, (GOLDEN / "cli" / f"{name}.out").read_text())
+
+
+def test_golden_sequence_twice_in_one_process():
+    # the parser is built once per process; a second pass must not see
+    # anything the first one left behind
+    names = sorted(GOLDEN_RUNS)
+    first = [golden_stdout(GOLDEN_RUNS[name]) for name in names]
+    second = [golden_stdout(GOLDEN_RUNS[name]) for name in names]
+    assert first == second
+    assert first == [(0, (GOLDEN / "cli" / f"{name}.out").read_text()) for name in names]
+    assert cli._build_parser() is cli._build_parser()

@@ -201,6 +201,14 @@ class TestJson:
         with pytest.raises(InvalidParameter):
             eq_from_json({"ground": 3})
 
+    def test_ground_must_count_the_listed_points(self):
+        for ground, classes in ((10**12, [[0]]), (3, [[0], [2]]), (2, [[0], [1], [2]])):
+            with pytest.raises(InvalidParameter, match=f"ground {ground} but the classes list"):
+                eq_from_json({"ground": ground, "classes": classes})
+        # the counts agree, so the per-point checks decide
+        with pytest.raises(InvalidParameter, match="appears in two classes"):
+            eq_from_json({"ground": 3, "classes": [[0, 1], [1]]})
+
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8))
 def test_kernel_canonical_property(values):

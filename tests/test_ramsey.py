@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from finlat.eqrel import bell_number
 from finlat.errors import InvalidParameter, SizeLimit, SubsetTooSmall
 from finlat.ramsey import (
     Crt2Survey,
@@ -147,8 +148,22 @@ class TestSurvey:
                 assert forms and summarize_form(forms) == row.form
 
     def test_budget(self):
-        with pytest.raises(SizeLimit):
+        with pytest.raises(SizeLimit) as exc:
             crt2_survey(6, 3)  # Bell(15) kernels
+        assert exc.value.actual == 1_382_958_545  # computed, below the 2^(m-1) bound
+
+    def test_budget_refuses_by_bound_without_counting(self):
+        # B(m) >= 2^(m-1) > limit once m - 1 reaches the limit's bit length
+        limit = 200_000
+        m = limit.bit_length() + 1
+        assert bell_number(m) > limit
+        n = next(n for n in range(2, 10) if n * (n - 1) // 2 >= m)
+        with pytest.raises(SizeLimit) as exc:
+            crt2_survey(n, 3, max_kernels=limit)
+        assert (exc.value.actual, exc.value.limit) == (f"B({n * (n - 1) // 2})", limit)
+        with pytest.raises(SizeLimit) as exc:
+            crt2_survey(200, 3)
+        assert exc.value.actual == "B(19900)"
 
     def test_csv_shape(self):
         s = crt2_survey(3, 3)

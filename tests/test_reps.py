@@ -1,4 +1,6 @@
 import json
+import pathlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,9 +16,10 @@ from finlat.eqrel import (
     trivial_eq,
 )
 from finlat.errors import EmptySubset, InvalidParameter, SizeLimit
-from finlat.lattice import DegenerateParameterWarning, chain_lattice
+from finlat.lattice import DegenerateParameterWarning, chain_lattice, m_lattice
 from finlat.ranked import verify_rank_axioms
 from finlat.reps import (
+    FAMILY_NOTE,
     Representation,
     ThresholdRankContext,
     canonical_for,
@@ -37,7 +40,9 @@ from finlat.reps import (
     verify_pseudo_rep,
 )
 
-from oracles import oracle_ncpp
+from oracles import blocks_set, oracle_ncpp, oracle_ncpp_certificate
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def chain2_rep(ground: int) -> Representation:
@@ -231,6 +236,13 @@ class TestNcpp:
             assert is_0cpp(restricted).holds
             assert canonical_for(restrict_eq(choice.theta, choice.subset), restricted) is not None
 
+    def test_depth_beyond_the_recursion_limit(self):
+        # (n+1)-CPP implies n-CPP, so failing at depth 2 means failing at
+        # every greater depth; deciding that must not recurse once per level
+        R = chain2_rep(5)
+        assert not is_ncpp(R, 2).holds
+        assert not is_ncpp(R, 1500).holds
+
     def test_failure_carries_theta(self):
         verdict = is_ncpp(chain2_rep(4), 1)
         assert not verdict.holds and verdict.witness_theta is not None
@@ -252,6 +264,50 @@ class TestNcpp:
         data = cpp_certificate_json(is_ncpp(chain2_rep(5), 1))
         text = json.dumps(data)
         assert json.loads(text)["holds"] is True
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_certificates_equal_oracle(self, depth):
+        # the c06 corpus plus two seeded relabelings of pairs_b2_rep(4);
+        # partitions are matched by their classes, since the library and the
+        # oracle enumerate them in different orders
+        B4 = pairs_b2_rep(4)
+        corpus = [
+            m3_base_rep(), power_rep(m3_base_rep(), 1), pairs_b2_rep(3), B4,
+            restrict_rep(B4, [0, 1, 2, 3, 4]), restrict_rep(B4, [1, 2, 4, 5]), restrict_rep(B4, [0, 1, 2]),
+        ] + [chain2_rep(ground) for ground in (3, 4, 5, 6)]
+        c3 = chain_lattice(3)
+        for ground in (4, 5, 6):
+            corpus += [Representation(c3, ground, (trivial_eq(ground), mid, discrete_eq(ground)))
+                       for mid in all_partitions(ground)]
+        for seed in (1, 2):
+            perm = list(range(B4.ground_size))
+            random.Random(seed).shuffle(perm)
+            corpus.append(relabel_rep(B4, perm))
+        outcomes = set()
+        for R in corpus:
+            verdict = is_ncpp(R, depth)
+            order = [blocks_set(theta) for theta in all_partitions(R.ground_size)]
+            if verdict.holds:
+                want = dict(oracle_ncpp_certificate(R, depth))
+                assert len(want) == len(order) and set(want) == set(order)
+                assert [blocks_set(c.theta) for c in verdict.certificate] == order
+                assert {blocks_set(c.theta): c.subset for c in verdict.certificate} == want
+            else:
+                # the witness is the first partition, in the library's order,
+                # that the oracle finds no subset for; read the oracle only
+                # as far as that prefix needs
+                witness = blocks_set(verdict.witness_theta)
+                needed = set(order[: order.index(witness) + 1])
+                want = {}
+                for theta, subset in oracle_ncpp_certificate(R, depth):
+                    want[theta] = subset
+                    if needed <= want.keys():
+                        break
+                assert want[witness] is None
+                assert all(want[theta] is not None for theta in needed - {witness})
+                assert verdict.certificate == ()
+            outcomes.add(verdict.holds)
+        assert outcomes == ({True, False} if depth == 1 else {False})
 
 
 class TestConcreteReps:
@@ -357,6 +413,70 @@ class TestFamilyClosure:
     def test_mixed_lattices_rejected(self):
         with pytest.raises(InvalidParameter):
             family_closure_check([m3_base_rep(), chain2_rep(3)])
+
+    # Pinned reports as (all_0cpp, not_0cpp_members, closure_holds,
+    # closure_failure as (member, theta class ids), correct); every family
+    # is nonempty.
+    PINNED = {
+        "m3_base": (False, (0,), True, None, False),
+        "pairs3": (False, (0,), False, (0, (0, 1, 0)), False),
+        "chain3_small": (False, (0, 1), False, (0, (0, 0, 1)), False),
+        "chain2_rep4": (True, (), False, (0, (0, 0, 0, 1)), False),
+        "chain2_rep5": (True, (), False, (0, (0, 0, 0, 0, 1)), False),
+        "m3_base_rep": (False, (0,), True, None, False),
+        "pairs_b2_4": (True, (), False, (0, (0, 0, 0, 0, 0, 1)), False),
+        "m3_mixed": (False, (0, 1), False, (1, (0, 0, 0, 1)), False),
+        "m3_iso": (False, (0, 1), True, None, False),
+        "m3_base:relabeled": (False, (0,), True, None, False),
+        "pairs3:relabeled": (False, (0,), False, (0, (0, 1, 1)), False),
+        "chain3_small:relabeled": (False, (0, 1), False, (0, (0, 1, 0)), False),
+        "chain2_rep4:relabeled": (True, (), False, (0, (0, 0, 0, 1)), False),
+        "chain2_rep5:relabeled": (True, (), False, (0, (0, 0, 0, 0, 1)), False),
+        "m3_base_rep:relabeled": (False, (0,), True, None, False),
+        "pairs_b2_4:relabeled": (True, (), False, (0, (0, 0, 0, 0, 0, 1)), False),
+        "m3_mixed:relabeled": (False, (0, 1), False, (1, (0, 0, 1, 0)), False),
+        "m3_iso:relabeled": (False, (0, 1), True, None, False),
+    }
+
+    @staticmethod
+    def families() -> dict:
+        def rep(lat, ids_list):
+            return Representation(lat, len(ids_list[0]), tuple(from_class_ids(ids) for ids in ids_list))
+
+        c3, m3 = chain_lattice(3), m_lattice(3)
+        families = {
+            "m3_base": [m3_base_rep()],
+            "pairs3": [pairs_b2_rep(3)],
+            "chain3_small": [rep(c3, [(0, 0, 0), (0, 1, 1), (0, 1, 2)]),
+                             rep(c3, [(0,) * 4, (0, 0, 1, 1), (0, 1, 2, 3)])],
+        }
+        for path in sorted(DATA.glob("*.json")):
+            data = json.loads(path.read_text())
+            if isinstance(data, dict) and "alpha" in data:
+                families[path.stem] = [rep_from_json(data)]
+        # m3_base closes by itself, the second member does not
+        families["m3_mixed"] = [m3_base_rep(), rep(m3, [(0,) * 4, (0, 0, 1, 0), (0,) * 4, (0, 0, 1, 0), (0, 1, 2, 3)])]
+        # closes only because restrictions match members up to relabeling
+        families["m3_iso"] = [relabel_rep(m3_base_rep(), [0, 2, 1]),
+                              rep(m3, [(0,) * 4, (0, 1, 0, 2), (0, 1, 1, 1), (0, 1, 2, 0), (0, 1, 2, 3)])]
+        for name in list(families):
+            relabeled = []
+            for i, R in enumerate(families[name]):
+                perm = list(range(R.ground_size))
+                random.Random(i + 7).shuffle(perm)
+                relabeled.append(relabel_rep(R, perm))
+            families[name + ":relabeled"] = relabeled
+        return families
+
+    def test_reports_pinned(self):
+        got = {}
+        for name, family in self.families().items():
+            report = family_closure_check(family)
+            assert report.nonempty and report.note == FAMILY_NOTE
+            failure = report.closure_failure
+            got[name] = (report.all_0cpp, report.not_0cpp_members, report.closure_holds,
+                         failure and (failure[0], failure[1].class_id), report.correct)
+        assert got == self.PINNED
 
 
 class TestSerialization:
