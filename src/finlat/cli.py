@@ -314,7 +314,9 @@ def _cmd_crt2(args, budgets, f=None) -> dict:
 
 
 def _cmd_alg_cg(args, budgets, A) -> dict:
-    cg = congruence.congruence_lattice(A, max_carrier=budgets["max_cg_carrier"])
+    cg = congruence.congruence_lattice(
+        A, max_carrier=budgets["max_cg_carrier"], max_elements=budgets["max_elements"]
+    )
     return {
         "carrier": A.size,
         "congruence_count": len(cg.congruences),

@@ -9,6 +9,7 @@ absence within the search budget proves nothing and is reported as such.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from .eqrel import (
     refinement_lattice,
 )
 from .errors import FinlatError, GroundMismatch, InvalidParameter, SizeLimit
-from .lattice import FiniteLattice, dual, lattice_isomorphism
+from .lattice import MAX_ELEMENTS, FiniteLattice, dual, lattice_isomorphism
 
 MAX_CG_CARRIER = 10
 MAX_SEARCH_CARRIER = 4
@@ -52,7 +53,10 @@ class FiniteAlgebra:
         for op in self.operations:
             if op.arity < 0:
                 raise InvalidParameter("arity must be nonnegative")
-            if len(op.table) != self.size**op.arity:
+            # size**arity >= 2**arity exceeds the table length once the arity
+            # passes its bit length; checked first, as the power is costly
+            too_long = self.size >= 2 and op.arity > len(op.table).bit_length()
+            if too_long or len(op.table) != self.size**op.arity:
                 raise InvalidParameter(
                     f"table length {len(op.table)} != {self.size}^{op.arity}"
                 )
@@ -99,78 +103,117 @@ def is_congruence(theta: EquivalenceRelation, A: FiniteAlgebra) -> CongruenceVer
     """
     if theta.ground_size != A.size:
         raise GroundMismatch("theta must live on the algebra's carrier")
-    ids = theta.class_id
+    witness = _first_failure(A, theta.class_id, theta.classes())
+    return CongruenceVerdict(witness is None, witness)
+
+
+def _first_failure(
+    A: FiniteAlgebra, ids: tuple[int, ...], members: tuple[tuple[int, ...], ...]
+) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """is_congruence's witness for the relation with class ids `ids` and
+    classes `members`, or None when it is a congruence."""
+    n = A.size
     for op_index, op in enumerate(A.operations):
-        if op.arity == 0:
-            continue
-        for args in product(range(A.size), repeat=op.arity):
-            base = A.apply(op_index, args)
-            for pos in range(op.arity):
-                for b in range(A.size):
-                    if ids[b] != ids[args[pos]] or b == args[pos]:
-                        continue
-                    other = args[:pos] + (b,) + args[pos + 1 :]
-                    if ids[A.apply(op_index, other)] != ids[base]:
-                        return CongruenceVerdict(False, (op_index, args, other))
-    return CongruenceVerdict(True, None)
+        table = op.table
+        strides = [n ** (op.arity - 1 - pos) for pos in range(op.arity)]
+        # argument tuples in lexicographic order are the table indices in
+        # increasing order; substituting b for a at pos moves the index by
+        # (b - a) * stride.  Only b > a is tried: a failure with b < a is
+        # mirrored by one at the smaller index that holds b, so the first
+        # failure in (args, pos, b) order always has b > a.
+        for idx, value in enumerate(table):
+            base = ids[value]
+            for pos, stride in enumerate(strides):
+                a = idx // stride % n
+                for b in members[ids[a]]:
+                    if b > a and ids[table[idx + (b - a) * stride]] != base:
+                        args = tuple(idx // s % n for s in strides)
+                        return op_index, args, args[:pos] + (b,) + args[pos + 1 :]
+    return None
+
+
+def _translation_rows(A: FiniteAlgebra) -> list[list[tuple[int, ...]]]:
+    """One entry per operation and argument position: row u lists the
+    results with u at that position, the other arguments running through
+    their tuples in the same order for every u."""
+    n = A.size
+    out = []
+    for op in A.operations:
+        for pos in range(op.arity):
+            stride = n ** (op.arity - 1 - pos)
+            rows: list[list[int]] = [[] for _ in range(n)]
+            for idx, value in enumerate(op.table):
+                rows[idx // stride % n].append(value)
+            out.append([tuple(r) for r in rows])
+    return out
+
+
+def _principal(rows: list[list[tuple[int, ...]]], n: int, a: int, b: int) -> EquivalenceRelation:
+    # every pair that merges two classes is pushed through every
+    # single-position substitution; those pairs generate the congruence
+    sets = _UnionFind(n)
+    queue = [(a, b)] if sets.union(a, b) else []
+    while queue:
+        u, v = queue.pop()
+        for row in rows:
+            for x, y in zip(row[u], row[v]):
+                if sets.union(x, y):
+                    queue.append((x, y))
+    return sets.relation()
 
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> EquivalenceRelation:
     """Least congruence relating a and b, by closure under the operations."""
     if not (0 <= a < A.size and 0 <= b < A.size):
         raise InvalidParameter("elements must lie in the carrier")
-    sets = _UnionFind(A.size)
-    queue = []
-    if sets.union(a, b):
-        queue.append((a, b))
-    while queue:
-        u, v = queue.pop()
-        for op_index, op in enumerate(A.operations):
-            if op.arity == 0:
-                continue
-            for args in product(range(A.size), repeat=op.arity):
-                for pos in range(op.arity):
-                    if args[pos] != u:
-                        continue
-                    other = args[:pos] + (v,) + args[pos + 1 :]
-                    x, y = A.apply(op_index, args), A.apply(op_index, other)
-                    if sets.union(x, y):
-                        queue.append((x, y))
-    return sets.relation()
+    return _principal(_translation_rows(A), A.size, a, b)
 
 
-def _join_congruence(A: FiniteAlgebra, t1: EquivalenceRelation, t2: EquivalenceRelation) -> EquivalenceRelation:
-    joined = join_eq(t1, t2)
-    # the congruences form a sublattice of Eq(A), so the plain join must
-    # already be compatible; a failure here would be a bug
-    if not is_congruence(joined, A).holds:
-        raise FinlatError(f"join of congruences {t1.class_id} and {t2.class_id} is not a congruence")
-    return joined
-
-
-def all_congruences(A: FiniteAlgebra, max_carrier: int = MAX_CG_CARRIER) -> tuple[EquivalenceRelation, ...]:
-    """Every congruence, as the join-closure of the principal ones plus equality.
+def all_congruences(
+    A: FiniteAlgebra, max_carrier: int = MAX_CG_CARRIER, max_elements: int = MAX_ELEMENTS
+) -> tuple[EquivalenceRelation, ...]:
+    """Every congruence, as equality plus the closure of the principal
+    congruences under joining with a principal congruence.
 
     Sound and complete: every congruence is the join of the principal
-    congruences it contains.  Deterministic order: finer first, then by
-    class-id vector.
+    congruences it contains, so joining each newly found congruence with
+    the principal ones alone reaches them all.  Each congruence found,
+    principal ones included, is checked with is_congruence once.  Raises
+    SizeLimit as soon as more than max_elements congruences are found,
+    since a lattice of that many elements would be refused anyway.
+    Deterministic order: finer first, then by class-id vector.
     """
     if A.size > max_carrier:
         raise SizeLimit("congruence carrier", A.size, max_carrier)
     found = {discrete_eq(A.size)}
+    queue: list[EquivalenceRelation] = []
+
+    def add(theta: EquivalenceRelation) -> None:
+        # the congruences form a sublattice of Eq(A), so the principal
+        # closures and plain joins must be compatible; a failure is a bug
+        if not is_congruence(theta, A).holds:
+            raise FinlatError(f"congruence closure produced {theta.class_id}, which is not a congruence")
+        found.add(theta)
+        if len(found) > max_elements:
+            raise SizeLimit("congruences found", len(found), max_elements)
+        queue.append(theta)
+
+    rows = _translation_rows(A)
+    principals = []  # (a, b, Cg(a, b)), one per distinct congruence
     for a in range(A.size):
         for b in range(a + 1, A.size):
-            found.add(principal_congruence(A, a, b))
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for t1 in frontier:
-            for t2 in list(found):
-                j = _join_congruence(A, t1, t2)
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-        frontier = nxt
+            theta = _principal(rows, A.size, a, b)
+            if theta not in found:
+                add(theta)
+                principals.append((a, b, theta))
+    for theta in queue:  # grows while it is walked
+        ids = theta.class_id
+        for a, b, p in principals:
+            if ids[a] == ids[b]:
+                continue  # p lies below theta, so their join is theta
+            joined = join_eq(theta, p)
+            if joined not in found:
+                add(joined)
     return tuple(sorted(found, key=lambda t: (-t.num_classes, t.class_id)))
 
 
@@ -180,9 +223,11 @@ class CongruenceLattice:
     congruences: tuple[EquivalenceRelation, ...]
 
 
-def congruence_lattice(A: FiniteAlgebra, max_carrier: int = MAX_CG_CARRIER) -> CongruenceLattice:
+def congruence_lattice(
+    A: FiniteAlgebra, max_carrier: int = MAX_CG_CARRIER, max_elements: int = MAX_ELEMENTS
+) -> CongruenceLattice:
     """Cg(A) ordered by inclusion; element i is congruences[i], labeled by its classes."""
-    congs = all_congruences(A, max_carrier=max_carrier)
+    congs = all_congruences(A, max_carrier=max_carrier, max_elements=max_elements)
     return CongruenceLattice(refinement_lattice(congs), congs)
 
 
@@ -209,10 +254,11 @@ class SearchResult:
     note: str
 
 
-def _compatible_mask(parts: Sequence[EquivalenceRelation], A: FiniteAlgebra) -> int:
+def _compatible_mask(parts: Sequence[tuple], A: FiniteAlgebra) -> int:
+    """Bit i is set iff the partition with (class ids, classes) parts[i] is a congruence of A."""
     mask = 0
-    for i, t in enumerate(parts):
-        if is_congruence(t, A).holds:
+    for i, (ids, members) in enumerate(parts):
+        if _first_failure(A, ids, members) is None:
             mask |= 1 << i
     return mask
 
@@ -250,8 +296,9 @@ def search_algebra(
         if max_binary_ops > 0:
             for table in product(range(carrier), repeat=carrier * carrier):
                 pool.append((2, table))
+        part_classes = [(t.class_id, t.classes()) for t in parts]
         masks = [
-            _compatible_mask(parts, FiniteAlgebra(carrier, (Operation(a, t),)))
+            _compatible_mask(part_classes, FiniteAlgebra(carrier, (Operation(a, t),)))
             for a, t in pool
         ]
         full_mask = (1 << len(parts)) - 1
@@ -268,38 +315,41 @@ def search_algebra(
             seen_masks[mask] = ok
             return ok
 
-        def op_budget_ok(ops: list[int]) -> bool:
-            unary = sum(1 for i in ops if pool[i][0] == 1)
-            binary = len(ops) - unary
-            return unary <= max_unary_ops and binary <= max_binary_ops
+        # pool indices whose mask keeps at least L.size partitions of `mask`
+        kept_by_mask: dict[int, list[int]] = {}
 
+        def kept(mask: int) -> list[int]:
+            if mask not in kept_by_mask:
+                kept_by_mask[mask] = [i for i, m in enumerate(masks) if (mask & m).bit_count() >= L.size]
+            return kept_by_mask[mask]
+
+        num_unary = sum(1 for arity, _ in pool if arity == 1)
         max_ops = max_unary_ops + max_binary_ops
 
-        # depth-first over non-decreasing op-index tuples, prefixes first
-        def extend(ops: list[int], mask: int, size: int) -> Optional[FiniteAlgebra]:
+        # depth-first over non-decreasing op-index tuples, prefixes first;
+        # unary and binary count the ops of each arity in `ops`
+        def extend(ops: tuple[int, ...], mask: int, unary: int, binary: int) -> Optional[FiniteAlgebra]:
             nonlocal tried
             if tried >= max_candidates:
                 return None
             tried += 1
-            if op_budget_ok(ops) and lattice_matches(mask):
+            if unary <= max_unary_ops and binary <= max_binary_ops and lattice_matches(mask):
                 return FiniteAlgebra(
                     carrier, tuple(Operation(*pool[i]) for i in ops)
                 )
-            if size == max_ops:
+            if unary + binary == max_ops:
                 return None
-            start = ops[-1] if ops else 0
-            for i in range(start, len(pool)):
-                new_mask = mask & masks[i]
-                if bin(new_mask).count("1") < L.size:
+            children = kept(mask)
+            for i in children[bisect_left(children, ops[-1] if ops else 0):]:
+                u, b = (unary + 1, binary) if i < num_unary else (unary, binary + 1)
+                if u > max_unary_ops or b > max_binary_ops:
                     continue
-                if not op_budget_ok(ops + [i]):
-                    continue
-                found = extend(ops + [i], new_mask, size + 1)
+                found = extend(ops + (i,), mask & masks[i], u, b)
                 if found is not None or tried >= max_candidates:
                     return found
             return None
 
-        found = extend([], full_mask, 0)
+        found = extend((), full_mask, 0, 0)
         if found is not None:
             return SearchResult(found, False, tried, "found within budget")
         if tried >= max_candidates:

@@ -263,15 +263,32 @@ def partition_label(t: EquivalenceRelation) -> str:
     return "|".join("".join(str(p) for p in cls) for cls in t.classes())
 
 
+def _pair_mask(t: EquivalenceRelation) -> int:
+    """Bit x*n + y is set iff t relates x and y, so t1 refines t2 iff
+    _pair_mask(t1) is a subset of _pair_mask(t2)."""
+    n = t.ground_size
+    members = [0] * t.num_classes
+    for point, c in enumerate(t.class_id):
+        members[c] |= 1 << point
+    mask = 0
+    for point, c in enumerate(t.class_id):
+        mask |= members[c] << (point * n)
+    return mask
+
+
 def refinement_lattice(parts: Sequence[EquivalenceRelation]):
     """The given relations ordered by refines; element i is parts[i], labeled by its classes."""
     from .lattice import build_lattice
 
+    for t in parts[1:]:
+        if t.ground_size != parts[0].ground_size:
+            raise GroundMismatch(f"ground sizes differ: {parts[0].ground_size} != {t.ground_size}")
+    masks = [_pair_mask(t) for t in parts]
     pairs = [
         (i, j)
-        for i, t1 in enumerate(parts)
-        for j, t2 in enumerate(parts)
-        if refines(t1, t2)
+        for i, m1 in enumerate(masks)
+        for j, m2 in enumerate(masks)
+        if not m1 & ~m2
     ]
     return build_lattice(len(parts), pairs, labels=tuple(partition_label(t) for t in parts))
 

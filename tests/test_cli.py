@@ -291,6 +291,33 @@ class TestBadInput:
             err = self.error(capsys, argv)
             assert err["type"] == "ParseError" and err["message"].startswith(f"{path}: ")
 
+    def test_algebra_huge_arity_refused_before_power(self, capsys, tmp_path):
+        # 50 bytes; 7**4000000 would take seconds to compute
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"size": 7, "ops": [{"arity": 4000000, "table": [0]}]}))
+        start = time.perf_counter()
+        err = self.error(capsys, ["alg", "cg", str(path)])
+        assert time.perf_counter() - start < 0.1
+        assert err["type"] == "ParseError" and err["message"] == f"{path}: table length 1 != 7^4000000"
+
+    def test_cg_over_element_budget(self, capsys, tmp_path):
+        # no operations: all Bell(4) = 15 partitions are congruences
+        path = tmp_path / "free4.json"
+        path.write_text(json.dumps({"size": 4, "ops": []}))
+        err = self.error(capsys, ["alg", "cg", str(path), "--budget", "max_elements=10"])
+        assert (err["type"], err["dimension"], err["actual"], err["limit"]) == (
+            "SizeLimit", "congruences found", 11, 10)
+
+    def test_cg_carrier10_no_ops_refused_early(self, capsys, tmp_path):
+        # Bell(10) = 115975 congruences; refused once 4097 are found
+        path = tmp_path / "free10.json"
+        path.write_text(json.dumps({"size": 10, "ops": []}))
+        start = time.perf_counter()
+        err = self.error(capsys, ["alg", "cg", str(path)])
+        assert time.perf_counter() - start < 2
+        assert (err["type"], err["dimension"], err["actual"], err["limit"]) == (
+            "SizeLimit", "congruences found", 4097, 4096)
+
     def test_std_over_element_budget(self, capsys):
         err = self.error(capsys, ["analyze", "--std", "chain(20)", "--budget", "max_elements=10"])
         assert (err["type"], err["dimension"], err["actual"], err["limit"]) == ("SizeLimit", "lattice size", 20, 10)

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
@@ -26,13 +28,45 @@ from finlat.eqrel import (
     trivial_eq,
 )
 from finlat.errors import GroundMismatch, InvalidParameter, SizeLimit
-from finlat.lattice import chain_lattice, lattice_isomorphism, m_lattice, pentagon, validate_lattice
+from finlat.lattice import (
+    boolean_lattice,
+    chain_lattice,
+    lattice_isomorphism,
+    m_lattice,
+    pentagon,
+    validate_lattice,
+)
 
 from oracles import blocks_set, oracle_congruences
 
 
 def unary_algebra(size, *tables):
     return algebra(size, [(1, t) for t in tables])
+
+
+def random_algebra(rng):
+    """Carrier 2..5 with 0..3 operations of arity 0..3.  Half the operations
+    respect a random partition (each result drawn from the class that the
+    argument classes select), so that congruence lattices are not all trivial."""
+    size = rng.randint(2, 5)
+    ops = []
+    for _ in range(rng.randint(0, 3)):
+        arity = rng.randint(0, 3)
+        cells = list(product(range(size), repeat=arity))
+        if rng.random() < 0.5:
+            cls = [rng.randrange(size) for _ in range(size)]
+            blocks = {c: [x for x in range(size) if cls[x] == c] for c in sorted(set(cls))}
+            image = {}
+            table = []
+            for args in cells:
+                key = tuple(cls[a] for a in args)
+                if key not in image:
+                    image[key] = rng.choice(sorted(blocks))
+                table.append(rng.choice(blocks[image[key]]))
+        else:
+            table = [rng.randrange(size) for _ in cells]
+        ops.append((arity, table))
+    return algebra(size, ops)
 
 
 CORPUS = {
@@ -144,9 +178,35 @@ class TestCongruenceLattice:
             for t in cg.congruences:
                 assert is_congruence(t, A).holds
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_algebras_match_oracle(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            A = random_algebra(rng)
+            congs = all_congruences(A)
+            want = oracle_congruences(A)
+            assert {blocks_set(t) for t in congs} == want and len(congs) == len(want)
+            for a in range(A.size):
+                for b in range(A.size):
+                    got = blocks_set(principal_congruence(A, a, b))
+                    assert got in want
+                    # least: every block lies inside a block of each oracle
+                    # congruence that relates a and b
+                    for part in want:
+                        if any(a in blk and b in blk for blk in part):
+                            assert all(any(blk <= big for big in part) for blk in got)
+
     def test_carrier_budget(self):
         with pytest.raises(SizeLimit):
             congruence_lattice(algebra(6, []), max_carrier=5)
+
+    def test_element_budget_refuses_early(self):
+        # Bell(4) = 15 congruences; the closure stops at the eleventh
+        with pytest.raises(SizeLimit) as info:
+            all_congruences(algebra(4, []), max_elements=10)
+        err = info.value
+        assert (err.dimension, err.actual, err.limit) == ("congruences found", 11, 10)
+        assert len(congruence_lattice(algebra(4, []), max_elements=15).congruences) == 15
 
 
 class TestCongruenceRepresentation:
@@ -186,6 +246,70 @@ class TestSearch:
         plain = search_algebra(chain_lattice(3), max_unary_ops=1)
         dualled = search_algebra(chain_lattice(3), max_unary_ops=1, match_dual=True)
         assert plain.algebra is not None and dualled.algebra is not None
+
+
+SEARCH_TARGETS = {
+    "m(3)": m_lattice(3), "m(4)": m_lattice(4), "pentagon": pentagon(), "chain(2)": chain_lattice(2),
+    "chain(3)": chain_lattice(3), "chain(4)": chain_lattice(4), "boolean(2)": boolean_lattice(2),
+}
+SEARCH_BUDGETS = {
+    "default": {},
+    "cand5000": {"max_candidates": 5000},
+    "small": {"max_carrier": 3, "max_unary_ops": 1, "max_binary_ops": 1},
+    "dual": {"match_dual": True, "max_carrier": 3},
+}
+# (candidates_tried, exhausted_budget, (size, [(arity, table)]) or None),
+# recorded from the original depth-first walk
+SEARCH_PINS = {
+    "default": {
+        "m(3)": (1, False, (3, [])),
+        "m(4)": (69520, False, None),
+        "pentagon": (1004, False, (4, [(1, (0, 0, 0, 0)), (1, (0, 0, 2, 2)), (1, (2, 3, 0, 1))])),
+        "chain(2)": (1, False, (2, [])),
+        "chain(3)": (5, False, (3, [(1, (0, 0, 0)), (1, (0, 0, 0)), (1, (0, 0, 1))])),
+        "chain(4)": (435, False, (4, [(1, (0, 0, 0, 0)), (1, (0, 0, 0, 0)), (1, (0, 0, 1, 2))])),
+        "boolean(2)": (5, False, (3, [(1, (0, 0, 0)), (1, (0, 0, 0)), (1, (0, 0, 2))])),
+    },
+    "cand5000": {
+        "m(3)": (1, False, (3, [])),
+        "m(4)": (5000, True, None),
+        "pentagon": (1004, False, (4, [(1, (0, 0, 0, 0)), (1, (0, 0, 2, 2)), (1, (2, 3, 0, 1))])),
+        "chain(2)": (1, False, (2, [])),
+        "chain(3)": (5, False, (3, [(1, (0, 0, 0)), (1, (0, 0, 0)), (1, (0, 0, 1))])),
+        "chain(4)": (435, False, (4, [(1, (0, 0, 0, 0)), (1, (0, 0, 0, 0)), (1, (0, 0, 1, 2))])),
+        "boolean(2)": (5, False, (3, [(1, (0, 0, 0)), (1, (0, 0, 0)), (1, (0, 0, 2))])),
+    },
+    "small": {
+        "m(3)": (1, False, (3, [])),
+        "m(4)": (0, False, None),
+        "pentagon": (30, False, None),
+        "chain(2)": (1, False, (2, [])),
+        "chain(3)": (4, False, (3, [(1, (0, 0, 0)), (2, (0, 0, 0, 0, 0, 0, 0, 0, 1))])),
+        "chain(4)": (1371, False, None),
+        "boolean(2)": (4, False, (3, [(1, (0, 0, 0)), (2, (0, 0, 0, 0, 0, 0, 0, 0, 2))])),
+    },
+    "dual": {
+        "m(3)": (1, False, (3, [])),
+        "m(4)": (0, False, None),
+        "pentagon": (35, False, None),
+        "chain(2)": (1, False, (2, [])),
+        "chain(3)": (5, False, (3, [(1, (0, 0, 0)), (1, (0, 0, 0)), (1, (0, 0, 1))])),
+        "chain(4)": (425, False, None),
+        "boolean(2)": (5, False, (3, [(1, (0, 0, 0)), (1, (0, 0, 0)), (1, (0, 0, 2))])),
+    },
+}
+
+
+@pytest.mark.parametrize("budget", sorted(SEARCH_BUDGETS))
+def test_search_walk_pinned(budget):
+    for name, L in SEARCH_TARGETS.items():
+        tried, exhausted, found = SEARCH_PINS[budget][name]
+        want = None if found is None else {
+            "size": found[0], "ops": [{"arity": a, "table": list(t)} for a, t in found[1]]
+        }
+        result = search_algebra(L, **SEARCH_BUDGETS[budget])
+        got = None if result.algebra is None else algebra_to_json(result.algebra)
+        assert (result.candidates_tried, result.exhausted_budget, got) == (tried, exhausted, want), name
 
 
 class TestJson:
