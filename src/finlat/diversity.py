@@ -4,14 +4,16 @@ An equivalenced lattice (L, E) is reasonable when some single linear order
 on the elements makes the principal ideals of any two E-related elements
 order-isomorphic through an E-compatible map.  Between two finite linear
 orders the order isomorphism is unique (sort and match positionally), so
-each candidate order is cheap to check; the search over all |L|! orders is
-exhaustive within a budget.
+an order witnesses reasonableness iff, for every E-pair, the j-th elements
+of the two ideals are E-related for every j.  The search builds the order
+one element at a time, smallest unused element first, and backtracks as
+soon as a matched couple is not E-related; it is exhaustive within a
+budget and finds the lexicographically first witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import SizeLimit
 from .lattice import EquivalencedLattice, ideal_elements
@@ -46,20 +48,57 @@ def is_reasonable(
         for a, b in pairs:
             if len(ideals[a]) != len(ideals[b]):
                 return ReasonableVerdict(False, None, (a, b))
+    order = _first_witness_order(L.size, [(ideals[a], ideals[b]) for a, b in pairs], EL.E.class_id)
+    return ReasonableVerdict(order is not None, order, None)
 
-    for order in permutations(range(L.size)):
-        position = {e: i for i, e in enumerate(order)}
-        ok = True
-        for a, b in pairs:
-            ia, ib = ideals[a], ideals[b]
-            if len(ia) != len(ib):
-                ok = False
-                break
-            sa = sorted(ia, key=position.__getitem__)
-            sb = sorted(ib, key=position.__getitem__)
-            if any(not EL.E.relates(x, y) for x, y in zip(sa, sb)):
-                ok = False
-                break
-        if ok:
-            return ReasonableVerdict(True, order, None)
-    return ReasonableVerdict(False, None, None)
+
+def _first_witness_order(
+    size: int, ideal_pairs: Sequence[tuple[Sequence[int], Sequence[int]]], class_id: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically first order of {0..size-1} under which the two
+    ideals of every pair have equal sizes and E-related j-th elements.
+
+    Elements placed so far come first in every completion, so the placed
+    members of an ideal are its first members and a couple is final once
+    both of its members are placed: a couple whose members lie in different
+    classes rules out the whole subtree.
+    """
+    if any(len(I) != len(J) for I, J in ideal_pairs):
+        return None
+    # sides[e]: for each ideal containing e, its placed members and those of its partner
+    sides: list[list[tuple[list[int], list[int]]]] = [[] for _ in range(size)]
+    for I, J in ideal_pairs:
+        placed_I: list[int] = []
+        placed_J: list[int] = []
+        for e in I:
+            sides[e].append((placed_I, placed_J))
+        for e in J:
+            sides[e].append((placed_J, placed_I))
+    order: list[int] = []
+    unused = [True] * size
+
+    def fits(e: int) -> bool:
+        """Placing e next couples it only with elements of its own class."""
+        return all(
+            len(mine) >= len(other) or class_id[other[len(mine)]] == class_id[e]
+            for mine, other in sides[e]
+        )
+
+    def extend() -> bool:
+        if len(order) == size:
+            return True
+        for e in range(size):
+            if unused[e] and fits(e):
+                unused[e] = False
+                order.append(e)
+                for mine, _ in sides[e]:
+                    mine.append(e)
+                if extend():
+                    return True
+                for mine, _ in sides[e]:
+                    mine.pop()
+                order.pop()
+                unused[e] = True
+        return False
+
+    return tuple(order) if extend() else None

@@ -14,10 +14,10 @@ counts, not asserted thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Optional, Sequence
 
-from .eqrel import EquivalenceRelation, bell_number, kernel_of, restricted_growth_strings
+from .eqrel import EquivalenceRelation, _canonical_ids, bell_number, kernel_of
 from .errors import InvalidParameter, SizeLimit, SubsetTooSmall
 
 FORMS = ("constant", "first_coordinate", "second_coordinate", "one_to_one")
@@ -133,7 +133,7 @@ def find_canonical_subset(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crt2Row:
     kernel_id: int
     admits_canonical: bool
@@ -151,53 +151,93 @@ class Crt2Survey:
     rows: tuple[Crt2Row, ...]
 
 
-def crt2_survey(n: int, k: int, max_kernels: int = MAX_SURVEY_KERNELS) -> Crt2Survey:
-    """Survey every kernel partition of the pair set of {0..n-1}.
+def _completion_counts(n: int, max_kernels: int) -> list[list[int]]:
+    """counts[r][b]: canonical class-id vectors that complete a prefix using b
+    classes with r more positions, for the pair set of {0..n-1}.
 
-    For each kernel, counts whether some size-k subset carries a canonical
-    form; kernel ids follow the lexicographic order of canonical class-id
-    vectors.  This measures the finite behavior, it does not assert any
-    threshold.
+    T(0, b) = 1 and T(r, b) = b·T(r−1, b) + T(r−1, b+1): the next position
+    reuses one of the b classes or opens a new one.  counts[m][0] = B(m) is
+    the number of kernels; SizeLimit when it exceeds max_kernels.
     """
-    if k < 3:
-        raise InvalidParameter("subset size must be at least 3")
+    if n < 2:
+        raise InvalidParameter("a pair function needs n >= 2")
     num_pairs = n * (n - 1) // 2
     # B(m) >= 2^(m-1), so the Bell number need not be computed to see it is too large
     if num_pairs - 1 >= max_kernels.bit_length():
         raise SizeLimit("survey kernels", f"B({num_pairs})", max_kernels)
+    # refused before the table, whose m²/2 entries could outgrow memory under a huge budget
     kernels = bell_number(num_pairs)
     if kernels > max_kernels:
         raise SizeLimit("survey kernels", kernels, max_kernels)
-    subsets = list(combinations(range(n), k))
-    per_subset = []
-    for X in subsets:
-        pairs = [(x, y) for x, y in combinations(X, 2)]
-        per_subset.append(
-            (
-                X,
-                [pair_index(n, x, y) for x, y in pairs],
-                [x for x, _ in pairs],
-                [y for _, y in pairs],
-            )
-        )
-    rows = []
-    failing = []
-    admitting = 0
-    for kernel_id, vec in enumerate(restricted_growth_strings(num_pairs)):
-        witness = None
-        form = None
-        for X, idxs, firsts, seconds in per_subset:
-            forms = _forms_on([vec[i] for i in idxs], firsts, seconds)
-            if forms:
+    counts = [[1] * (num_pairs + 1)]
+    for r in range(1, num_pairs + 1):
+        prev = counts[-1]
+        counts.append([b * prev[b] + prev[b + 1] for b in range(num_pairs - r + 1)])
+    return counts
+
+
+def crt2_survey(n: int, k: int, max_kernels: int = MAX_SURVEY_KERNELS) -> Crt2Survey:
+    """Survey every kernel partition of the pair set of {0..n-1}.
+
+    For each kernel, reports the least size-k subset that carries a
+    canonical form, and that form; kernel ids follow the lexicographic order
+    of canonical class-id vectors.  The vectors are walked depth first by
+    prefix.  A subset's forms are fixed once its largest pair index is
+    assigned, and the subsets are decided in order, so the first one found
+    canonical is the witness of every completion of the prefix: that
+    contiguous range of kernel ids, of length T(remaining, classes) from
+    the completion counts, is filled in one step, as is the range of a
+    prefix on which every subset fails.  This measures the finite behavior,
+    it does not assert any threshold.
+    """
+    if k < 3:
+        raise InvalidParameter("subset size must be at least 3")
+    counts = _completion_counts(n, max_kernels)
+    num_pairs = n * (n - 1) // 2
+    # A form holds on X iff the values on X's pairs have the kernel of the form's
+    # defining coordinate; the pairs of every k-subset share those kernels.
+    pairs = list(combinations(range(k), 2))
+    coords = ([0] * len(pairs), [x for x, _ in pairs], [y for _, y in pairs], range(len(pairs)))
+    form_of: dict[tuple[int, ...], str] = {}
+    for name, c in zip(FORMS, coords):
+        form_of.setdefault(_canonical_ids(c), name)
+    subsets = []
+    for X in combinations(range(n), k):
+        idxs = [pair_index(n, x, y) for x, y in combinations(X, 2)]
+        subsets.append((X, idxs, max(idxs) + 1))
+    rows: list[Crt2Row] = []
+    failing: list[int] = []
+    vec = [0] * num_pairs
+    # depth first over prefixes: (length, classes used, first subset not yet
+    # failing on every completion, first kernel id, value of the last position)
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        depth, classes, s, start, value = stack.pop()
+        if depth:
+            vec[depth - 1] = value
+        witness = form = None
+        while s < len(subsets) and subsets[s][2] <= depth:
+            X, idxs, _ = subsets[s]
+            form = form_of.get(_canonical_ids([vec[i] for i in idxs]))
+            if form is not None:
                 witness = X
-                form = summarize_form(forms)
                 break
+            s += 1
+        if witness is None and s < len(subsets):
+            left = counts[num_pairs - depth - 1]
+            children = []
+            for c in range(classes + 1):
+                grown = max(classes, c + 1)
+                children.append((depth + 1, grown, s, start, c))
+                start += left[grown]
+            stack.extend(reversed(children))
+            continue
+        ids = range(start, start + counts[num_pairs - depth][classes])
         if witness is None:
-            failing.append(kernel_id)
-        else:
-            admitting += 1
-        rows.append(Crt2Row(kernel_id, witness is not None, witness, form))
-    return Crt2Survey(n, k, kernels, admitting, tuple(failing), tuple(rows))
+            failing.extend(ids)
+        rows.extend(map(Crt2Row, ids, repeat(witness is not None), repeat(witness), repeat(form)))
+    total = counts[num_pairs][0]
+    return Crt2Survey(n, k, total, total - len(failing), tuple(failing), tuple(rows))
 
 
 def survey_csv(survey: Crt2Survey) -> str:
@@ -209,10 +249,27 @@ def survey_csv(survey: Crt2Survey) -> str:
     return "\n".join(lines) + "\n"
 
 
-def kernel_at(n: int, kernel_id: int) -> PairFunction:
-    """The pair function whose kernel sits at the given survey position."""
+def kernel_at(n: int, kernel_id: int, max_kernels: int = MAX_SURVEY_KERNELS) -> PairFunction:
+    """The pair function whose kernel sits at the given survey position.
+
+    The id is unranked through the survey's completion counts, under the
+    survey's kernel budget, since ids name positions in that survey.
+    """
+    if kernel_id < 0:
+        raise InvalidParameter(f"kernel id {kernel_id} out of range")
+    counts = _completion_counts(n, max_kernels)
     num_pairs = n * (n - 1) // 2
-    for i, vec in enumerate(restricted_growth_strings(num_pairs)):
-        if i == kernel_id:
-            return PairFunction(n, EquivalenceRelation(num_pairs, vec), vec)
-    raise InvalidParameter(f"kernel id {kernel_id} out of range")
+    if kernel_id >= counts[num_pairs][0]:
+        raise InvalidParameter(f"kernel id {kernel_id} out of range")
+    vec = []
+    classes = 0
+    rest = kernel_id
+    for depth in range(num_pairs):
+        # the first `classes` values each head a block of this size; the last opens a new class
+        block = counts[num_pairs - depth - 1][classes]
+        c = min(rest // block, classes)
+        rest -= c * block
+        vec.append(c)
+        classes = max(classes, c + 1)
+    vec = tuple(vec)
+    return PairFunction(n, EquivalenceRelation(num_pairs, vec), vec)

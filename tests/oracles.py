@@ -7,7 +7,7 @@ congruences are filtered by the literal all-pairs definition.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Iterator
 
 from finlat.congruence import FiniteAlgebra
@@ -237,3 +237,84 @@ def oracle_congruences(A: FiniteAlgebra) -> set:
 def blocks_set(rel) -> frozenset:
     """Adapter: a library relation as a frozenset of frozenset blocks."""
     return _blocks_of(rel)
+
+
+# ---------------------------------------------------------------------------
+# reasonableness by trying every order
+
+
+def oracle_first_witness_order(L: FiniteLattice, class_id) -> tuple | None:
+    """The first permutation, in itertools order, under which the ideals of
+    every two related elements, each sorted by position, are related
+    element by element; None when no permutation does."""
+    n = L.size
+    ideals = [[x for x in range(n) if L.le(x, a)] for a in range(n)]
+    related = [(a, b) for a in range(n) for b in range(a + 1, n) if class_id[a] == class_id[b]]
+    for order in permutations(range(n)):
+        position = {e: i for i, e in enumerate(order)}
+        ok = True
+        for a, b in related:
+            ia = sorted(ideals[a], key=position.__getitem__)
+            ib = sorted(ideals[b], key=position.__getitem__)
+            if len(ia) != len(ib) or any(class_id[x] != class_id[y] for x, y in zip(ia, ib)):
+                ok = False
+                break
+        if ok:
+            return order
+    return None
+
+
+def oracle_size_obstruction(L: FiniteLattice, class_id) -> tuple | None:
+    """The first related pair (a, b), a < b, whose ideals differ in size."""
+    n = L.size
+    size = [sum(1 for x in range(n) if L.le(x, a)) for a in range(n)]
+    pairs = ((a, b) for a in range(n) for b in range(a + 1, n) if class_id[a] == class_id[b])
+    return next(((a, b) for a, b in pairs if size[a] != size[b]), None)
+
+
+# ---------------------------------------------------------------------------
+# canonical Ramsey survey by the literal definitions
+
+
+def _growth_strings(m: int, prefix: tuple = ()) -> Iterator[tuple]:
+    """Class-id vectors of length m whose first occurrences count up from 0,
+    in lexicographic order."""
+    if len(prefix) == m:
+        yield prefix
+        return
+    for c in range(max(prefix, default=-1) + 2):
+        yield from _growth_strings(m, prefix + (c,))
+
+
+_ORACLE_FORMS = (
+    ("constant", lambda p, q: True),
+    ("first_coordinate", lambda p, q: p[0] == q[0]),
+    ("second_coordinate", lambda p, q: p[1] == q[1]),
+    ("one_to_one", lambda p, q: p == q),
+)
+
+
+def oracle_crt2_rows(n: int, k: int) -> list[tuple]:
+    """(kernel id, admits, least canonical k-subset, first form by
+    precedence) for every kernel on the pairs of {0..n-1}: a form holds on X
+    when two pairs of X share a value iff they agree as the form says."""
+    all_pairs = [(x, y) for x in range(n) for y in range(n) if x < y]
+    rows = []
+    for kernel_id, ids in enumerate(_growth_strings(len(all_pairs))):
+        value = dict(zip(all_pairs, ids))
+        found = None
+        for X in combinations(range(n), k):
+            pairs = [(x, y) for x in X for y in X if x < y]
+            form = next(
+                (
+                    name
+                    for name, same in _ORACLE_FORMS
+                    if all((value[p] == value[q]) == same(p, q) for p in pairs for q in pairs)
+                ),
+                None,
+            )
+            if form is not None:
+                found = (X, form)
+                break
+        rows.append((kernel_id, found is not None, *(found or (None, None))))
+    return rows

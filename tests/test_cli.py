@@ -356,6 +356,11 @@ class TestBadInput:
         assert (err["type"], err["dimension"], err["actual"], err["limit"]) == (
             "SizeLimit", "survey kernels", "B(19900)", 200_000)
 
+    @pytest.mark.parametrize("n", ["-3", "1"])
+    def test_survey_below_two_points_refused(self, capsys, n):
+        err = self.error(capsys, ["crt2", "--survey", "--n", n, "--k", "3"])
+        assert (err["type"], err["message"]) == ("InvalidParameter", "a pair function needs n >= 2")
+
     @pytest.mark.parametrize("argv", [
         ["rep", "verify", "pairs_b2_4.json"],
         ["rep", "family-closure", "m3_base_rep.json"],

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
-from finlat.diversity import is_reasonable
+from finlat.diversity import ReasonableVerdict, is_reasonable
 from finlat.errors import SizeLimit
-from finlat.eqrel import discrete_eq, from_class_ids
+from finlat.eqrel import all_partitions, discrete_eq, from_class_ids
 from finlat.lattice import (
     EquivalencedLattice,
     boolean_lattice,
@@ -12,7 +14,12 @@ from finlat.lattice import (
     pentagon,
 )
 
-from oracles import enumerate_labeled_lattices, iso_classes
+from oracles import (
+    enumerate_labeled_lattices,
+    iso_classes,
+    oracle_first_witness_order,
+    oracle_size_obstruction,
+)
 
 
 class TestReasonable:
@@ -110,3 +117,37 @@ class TestReasonable:
                 perm = (0,) + atoms + (4,)
                 moved = permute_eq(E, perm)
                 assert is_reasonable(EquivalencedLattice(L, moved)).reasonable == base
+
+
+class TestAgainstOracle:
+    """Verdict, witness order and obstruction, with and without the fast
+    path, equal those of trying every permutation."""
+
+    @staticmethod
+    def check(L, E):
+        order = oracle_first_witness_order(L, E.class_id)
+        obstruction = oracle_size_obstruction(L, E.class_id)
+        slow = ReasonableVerdict(order is not None, order, None)
+        fast = ReasonableVerdict(False, None, obstruction) if obstruction else slow
+        EL = EquivalencedLattice(L, E)
+        assert is_reasonable(EL) == fast
+        assert is_reasonable(EL, fast_path=False) == slow
+
+    def test_every_lattice_up_to_five_elements_and_partition(self):
+        for n in range(1, 6):
+            for L in enumerate_labeled_lattices(n):
+                for E in all_partitions(n):
+                    self.check(L, E)
+
+    def test_boolean3_partitions_failing_the_full_scan(self):
+        # equal ideal sizes on every E-pair, so the fast path cannot decide
+        L = boolean_lattice(3)
+        sizes = [len(ideal_elements(L, a)) for a in range(L.size)]
+        candidates = [
+            E
+            for E in all_partitions(L.size)
+            if all(sizes[a] == sizes[b] for a, b in E.pairs())
+            and not is_reasonable(EquivalencedLattice(L, E)).reasonable
+        ]
+        for E in random.Random(7).sample(candidates, 3):
+            self.check(L, E)

@@ -1,9 +1,11 @@
+import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from finlat.eqrel import bell_number
+from finlat.eqrel import bell_number, restricted_growth_strings
 from finlat.errors import InvalidParameter, SizeLimit, SubsetTooSmall
 from finlat.ramsey import (
     Crt2Survey,
@@ -17,6 +19,8 @@ from finlat.ramsey import (
     summarize_form,
     survey_csv,
 )
+
+from oracles import oracle_crt2_rows
 
 
 def fn_from(n, f):
@@ -165,12 +169,68 @@ class TestSurvey:
             crt2_survey(200, 3)
         assert exc.value.actual == "B(19900)"
 
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_fewer_than_two_points_refused(self, n):
+        with pytest.raises(InvalidParameter, match="n >= 2"):
+            crt2_survey(n, 3)
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (4, 3), (4, 4)])
+    def test_rows_equal_oracle(self, n, k):
+        s = crt2_survey(n, k)
+        rows = oracle_crt2_rows(n, k)
+        assert [(r.kernel_id, r.admits_canonical, r.witness, r.form) for r in s.rows] == rows
+        assert s.total == len(rows)
+        assert s.failing == tuple(r[0] for r in rows if not r[1])
+        assert s.admitting == s.total - len(s.failing)
+
+    # sha256 of survey_csv at n = 5, taken from the exhaustive per-kernel scan
+    @pytest.mark.parametrize("k,digest", [
+        (3, "e8a47c56eb84dfe5e1db998f01b1782b5c4f53b380b49cb424acf4f5844a0fd0"),
+        (4, "628b9e516f008692f9a7ce721bfc6d8ae517f2de7dab130decad02cac89321f4"),
+        (5, "4cf8f506276d74c360308ade8e7e4d70c6985251937d5f4a701fd64447074206"),
+    ])
+    def test_n5_survey_pinned(self, k, digest):
+        assert hashlib.sha256(survey_csv(crt2_survey(5, k)).encode()).hexdigest() == digest
+
     def test_csv_shape(self):
         s = crt2_survey(3, 3)
         lines = survey_csv(s).strip().splitlines()
         assert lines[0] == "kernel_id,admits_canonical,witness_subset,form"
         assert len(lines) == 6
         assert lines[3] == "2,false,,"
+
+
+class TestKernelAt:
+    def test_unranks_survey_order_n4(self):
+        for kernel_id, vec in enumerate(restricted_growth_strings(6)):
+            f = kernel_at(4, kernel_id)
+            assert f.kernel.class_id == vec and f.values == vec
+
+    def test_seeded_ids_n5_match_survey_rows(self):
+        vecs = list(restricted_growth_strings(10))
+        rows = crt2_survey(5, 3).rows
+        for kernel_id in random.Random(3).sample(range(len(vecs)), 200) + [0, len(vecs) - 1]:
+            f = kernel_at(5, kernel_id)
+            assert f.kernel.class_id == vecs[kernel_id]
+            assert find_canonical_subset(f, 3) == rows[kernel_id].witness
+
+    def test_negative_id_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match="out of range"):
+            kernel_at(6, -1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_id_past_end_refused(self):
+        with pytest.raises(InvalidParameter, match="out of range"):
+            kernel_at(4, 203)
+
+    def test_survey_budget(self):
+        with pytest.raises(SizeLimit) as exc:
+            kernel_at(6, 0)  # Bell(15) survey positions
+        assert (exc.value.actual, exc.value.limit) == (1_382_958_545, 200_000)
+        assert kernel_at(6, 0, max_kernels=bell_number(15)).kernel.class_id == (0,) * 15
+        with pytest.raises(InvalidParameter, match="n >= 2"):
+            kernel_at(1, 0)
 
 
 class TestRecodingInvariance:
