@@ -13,6 +13,7 @@ counts, not asserted thresholds.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from typing import Optional, Sequence
@@ -68,25 +69,16 @@ def pair_function(n: int, values: Sequence) -> PairFunction:
     return PairFunction(n, kernel_of(values), tuple(values))
 
 
-def _forms_on(values: Sequence[int], firsts: Sequence[int], seconds: Sequence[int]) -> frozenset:
-    matched = set()
-    k = len(values)
-    if len(set(values)) == 1:
-        matched.add("constant")
-    if len(set(values)) == k:
-        matched.add("one_to_one")
-    for name, coords in (("first_coordinate", firsts), ("second_coordinate", seconds)):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                if (values[i] == values[j]) != (coords[i] == coords[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            matched.add(name)
-    return frozenset(matched)
+def _form_kernels(k: int) -> tuple[tuple[int, ...], ...]:
+    """Kernels of the forms' defining coordinates on the pairs of a k-set, in
+    FORMS order: constant, first, second coordinate, the pair itself.
+
+    A form holds on X iff the values on X's pairs, in lexicographic order,
+    have the kernel of its coordinate; every k-set's pairs share these.
+    """
+    pairs = list(combinations(range(k), 2))
+    coords = ([0] * len(pairs), [x for x, _ in pairs], [y for _, y in pairs], range(len(pairs)))
+    return tuple(_canonical_ids(c) for c in coords)
 
 
 def canonical_form_on(f: PairFunction, X: Sequence[int]) -> frozenset:
@@ -101,9 +93,8 @@ def canonical_form_on(f: PairFunction, X: Sequence[int]) -> frozenset:
     for p in xs:
         if not 0 <= p < f.n:
             raise InvalidParameter(f"point {p} outside base set of size {f.n}")
-    pairs = [(x, y) for x, y in combinations(xs, 2)]
-    values = [f.value_id(x, y) for x, y in pairs]
-    return _forms_on(values, [x for x, _ in pairs], [y for _, y in pairs])
+    values = _canonical_ids([f.value_id(x, y) for x, y in combinations(xs, 2)])
+    return frozenset(name for name, c in zip(FORMS, _form_kernels(len(xs))) if c == values)
 
 
 def summarize_form(forms: frozenset) -> Optional[str]:
@@ -151,24 +142,26 @@ class Crt2Survey:
     rows: tuple[Crt2Row, ...]
 
 
-def _completion_counts(n: int, max_kernels: int) -> list[list[int]]:
-    """counts[r][b]: canonical class-id vectors that complete a prefix using b
-    classes with r more positions, for the pair set of {0..n-1}.
-
-    T(0, b) = 1 and T(r, b) = b·T(r−1, b) + T(r−1, b+1): the next position
-    reuses one of the b classes or opens a new one.  counts[m][0] = B(m) is
-    the number of kernels; SizeLimit when it exceeds max_kernels.
+def _survey_pairs(n: int, max_kernels: int) -> int:
+    """Number of pairs of {0..n-1}; SizeLimit when a survey of their B(m)
+    kernels is refused by max_kernels through B(m) >= 2^(m−1) alone, so that
+    the Bell number need not be computed to see it is too large.
     """
     if n < 2:
         raise InvalidParameter("a pair function needs n >= 2")
     num_pairs = n * (n - 1) // 2
-    # B(m) >= 2^(m-1), so the Bell number need not be computed to see it is too large
     if num_pairs - 1 >= max_kernels.bit_length():
         raise SizeLimit("survey kernels", f"B({num_pairs})", max_kernels)
-    # refused before the table, whose m²/2 entries could outgrow memory under a huge budget
-    kernels = bell_number(num_pairs)
-    if kernels > max_kernels:
-        raise SizeLimit("survey kernels", kernels, max_kernels)
+    return num_pairs
+
+
+def _completion_counts(num_pairs: int) -> list[list[int]]:
+    """counts[r][b]: canonical class-id vectors of length num_pairs that
+    complete a prefix using b classes with r more positions.
+
+    T(0, b) = 1 and T(r, b) = b·T(r−1, b) + T(r−1, b+1): the next position
+    reuses one of the b classes or opens a new one.  counts[m][0] = B(m).
+    """
     counts = [[1] * (num_pairs + 1)]
     for r in range(1, num_pairs + 1):
         prev = counts[-1]
@@ -182,29 +175,31 @@ def crt2_survey(n: int, k: int, max_kernels: int = MAX_SURVEY_KERNELS) -> Crt2Su
     For each kernel, reports the least size-k subset that carries a
     canonical form, and that form; kernel ids follow the lexicographic order
     of canonical class-id vectors.  The vectors are walked depth first by
-    prefix.  A subset's forms are fixed once its largest pair index is
-    assigned, and the subsets are decided in order, so the first one found
-    canonical is the witness of every completion of the prefix: that
-    contiguous range of kernel ids, of length T(remaining, classes) from
-    the completion counts, is filled in one step, as is the range of a
-    prefix on which every subset fails.  This measures the finite behavior,
-    it does not assert any threshold.
+    prefix, and the subsets are decided in order.  A subset fails on every
+    completion once its assigned pairs, a prefix of its own pairs, match no
+    form's kernel there, and holds a form once all its pairs match it; so
+    the first subset not failing is the witness of every completion of a
+    prefix that decides it: that contiguous range of kernel ids, of length
+    T(remaining, classes) from the completion counts, is filled in one step,
+    as is the range of a prefix on which every subset fails.  This measures
+    the finite behavior, it does not assert any threshold.
     """
     if k < 3:
         raise InvalidParameter("subset size must be at least 3")
-    counts = _completion_counts(n, max_kernels)
-    num_pairs = n * (n - 1) // 2
-    # A form holds on X iff the values on X's pairs have the kernel of the form's
-    # defining coordinate; the pairs of every k-subset share those kernels.
-    pairs = list(combinations(range(k), 2))
-    coords = ([0] * len(pairs), [x for x, _ in pairs], [y for _, y in pairs], range(len(pairs)))
+    num_pairs = _survey_pairs(n, max_kernels)
+    # refused before the table, whose m²/2 entries could outgrow memory under a huge budget
+    kernels = bell_number(num_pairs)
+    if kernels > max_kernels:
+        raise SizeLimit("survey kernels", kernels, max_kernels)
+    counts = _completion_counts(num_pairs)
+    form_kernels = _form_kernels(k)
     form_of: dict[tuple[int, ...], str] = {}
-    for name, c in zip(FORMS, coords):
-        form_of.setdefault(_canonical_ids(c), name)
-    subsets = []
-    for X in combinations(range(n), k):
-        idxs = [pair_index(n, x, y) for x, y in combinations(X, 2)]
-        subsets.append((X, idxs, max(idxs) + 1))
+    for name, c in zip(FORMS, form_kernels):
+        form_of.setdefault(c, name)
+    # the kernel of a prefix of values is the prefix of their kernel
+    viable = [{c[:j] for c in form_kernels} for j in range(len(form_kernels[0]) + 1)]
+    # pair_index increases along combinations(X, 2), so X's assigned pairs come first
+    subsets = [(X, [pair_index(n, x, y) for x, y in combinations(X, 2)]) for X in combinations(range(n), k)]
     rows: list[Crt2Row] = []
     failing: list[int] = []
     vec = [0] * num_pairs
@@ -216,13 +211,16 @@ def crt2_survey(n: int, k: int, max_kernels: int = MAX_SURVEY_KERNELS) -> Crt2Su
         if depth:
             vec[depth - 1] = value
         witness = form = None
-        while s < len(subsets) and subsets[s][2] <= depth:
-            X, idxs, _ = subsets[s]
-            form = form_of.get(_canonical_ids([vec[i] for i in idxs]))
-            if form is not None:
-                witness = X
-                break
-            s += 1
+        while s < len(subsets):
+            X, idxs = subsets[s]
+            assigned = bisect_left(idxs, depth)
+            kernel = _canonical_ids([vec[i] for i in idxs[:assigned]])
+            if kernel not in viable[assigned]:
+                s += 1
+                continue
+            if assigned == len(idxs):
+                witness, form = X, form_of[kernel]
+            break
         if witness is None and s < len(subsets):
             left = counts[num_pairs - depth - 1]
             children = []
@@ -236,8 +234,7 @@ def crt2_survey(n: int, k: int, max_kernels: int = MAX_SURVEY_KERNELS) -> Crt2Su
         if witness is None:
             failing.extend(ids)
         rows.extend(map(Crt2Row, ids, repeat(witness is not None), repeat(witness), repeat(form)))
-    total = counts[num_pairs][0]
-    return Crt2Survey(n, k, total, total - len(failing), tuple(failing), tuple(rows))
+    return Crt2Survey(n, k, kernels, kernels - len(failing), tuple(failing), tuple(rows))
 
 
 def survey_csv(survey: Crt2Survey) -> str:
@@ -249,16 +246,18 @@ def survey_csv(survey: Crt2Survey) -> str:
     return "\n".join(lines) + "\n"
 
 
-def kernel_at(n: int, kernel_id: int, max_kernels: int = MAX_SURVEY_KERNELS) -> PairFunction:
+def kernel_at(n: int, kernel_id: int) -> PairFunction:
     """The pair function whose kernel sits at the given survey position.
 
-    The id is unranked through the survey's completion counts, under the
-    survey's kernel budget, since ids name positions in that survey.
+    The id is unranked through the survey's completion counts.  Their table
+    has m²/2 entries for the m pairs, so n is refused where a survey under
+    the default budget is refused by B(m) >= 2^(m−1) alone: n <= 6 is
+    answered.
     """
     if kernel_id < 0:
         raise InvalidParameter(f"kernel id {kernel_id} out of range")
-    counts = _completion_counts(n, max_kernels)
-    num_pairs = n * (n - 1) // 2
+    num_pairs = _survey_pairs(n, MAX_SURVEY_KERNELS)
+    counts = _completion_counts(num_pairs)
     if kernel_id >= counts[num_pairs][0]:
         raise InvalidParameter(f"kernel id {kernel_id} out of range")
     vec = []

@@ -224,11 +224,16 @@ class TestKernelAt:
         with pytest.raises(InvalidParameter, match="out of range"):
             kernel_at(4, 203)
 
-    def test_survey_budget(self):
+    def test_unranks_n6(self):
+        assert kernel_at(6, 0).kernel.class_id == (0,) * 15
+        assert kernel_at(6, bell_number(15) - 1).kernel.class_id == tuple(range(15))
+        with pytest.raises(InvalidParameter, match="out of range"):
+            kernel_at(6, bell_number(15))
+
+    def test_refusals(self):
         with pytest.raises(SizeLimit) as exc:
-            kernel_at(6, 0)  # Bell(15) survey positions
-        assert (exc.value.actual, exc.value.limit) == (1_382_958_545, 200_000)
-        assert kernel_at(6, 0, max_kernels=bell_number(15)).kernel.class_id == (0,) * 15
+            kernel_at(7, 0)  # B(21) >= 2^20 survey positions
+        assert (exc.value.actual, exc.value.limit) == ("B(21)", 200_000)
         with pytest.raises(InvalidParameter, match="n >= 2"):
             kernel_at(1, 0)
 
