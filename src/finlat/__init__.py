@@ -41,7 +41,6 @@ from .lattice import (
     chain_lattice,
     doubling_extension,
     dual,
-    find_sublattice_copy,
     hexagon,
     is_distributive,
     lattice_isomorphism,

@@ -18,6 +18,7 @@ from .eqrel import (
     EquivalenceRelation,
     _UnionFind,
     all_partitions,
+    bell_number,
     discrete_eq,
     join_eq,
     refinement_lattice,
@@ -280,15 +281,23 @@ def search_algebra(
     per-operation compatible-partition sets, which only shrinks as
     operations are added, so branches whose set is already too small are
     pruned.  Exceeding max_candidates stops the search with
-    exhausted_budget set; absence within the budget proves nothing.
+    exhausted_budget set; absence within the budget proves nothing.  So
+    does a carrier whose pool costs more to prepare, (pool size + 1) *
+    B(carrier) steps, counted before the partitions or the pool are listed.
     """
     target = dual(L) if match_dual else L
     tried = 0
 
     for carrier in range(1, max_carrier + 1):
-        parts = list(all_partitions(carrier))
-        if len(parts) < L.size:
+        bell = bell_number(carrier)
+        if bell < L.size:
             continue
+        # one mask step per (operation, partition) pair; carrier 4 has 4^16 binary tables
+        pool_size = (carrier**carrier if max_unary_ops > 0 else 0) + (
+            carrier ** (carrier * carrier) if max_binary_ops > 0 else 0)
+        if (pool_size + 1) * bell > max_candidates:
+            break
+        parts = list(all_partitions(carrier))
         pool: list[tuple[int, tuple[int, ...]]] = []  # (arity, table), unary first
         if max_unary_ops > 0:
             for table in product(range(carrier), repeat=carrier):
@@ -353,14 +362,15 @@ def search_algebra(
         if found is not None:
             return SearchResult(found, False, tried, "found within budget")
         if tried >= max_candidates:
-            return SearchResult(
-                None, True, tried,
-                "budget exhausted; absence within the budget is not a proof",
-            )
+            break
+    else:
+        return SearchResult(
+            None, False, tried,
+            "search space exhausted up to the carrier bound; absence here is not a proof "
+            "for larger carriers",
+        )
     return SearchResult(
-        None, False, tried,
-        "search space exhausted up to the carrier bound; absence here is not a proof "
-        "for larger carriers",
+        None, True, tried, "budget exhausted; absence within the budget is not a proof"
     )
 
 

@@ -55,9 +55,7 @@ class FiniteLattice:
 
     @property
     def top(self) -> int:
-        down = _down_masks(self.up, self.size)
-        full = (1 << self.size) - 1
-        return next(i for i in range(self.size) if down[i] == full)
+        return next(i for i in range(self.size) if self.up[i] == 1 << i)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
@@ -377,7 +375,7 @@ def principal_ideal(L: FiniteLattice, a: int) -> FiniteLattice:
 
 
 # ---------------------------------------------------------------------------
-# sublattice search and distributivity
+# isomorphism and distributivity
 
 
 @dataclass(frozen=True)
@@ -403,75 +401,78 @@ def check_embedding(e: LatticeEmbedding) -> bool:
     return True
 
 
-def _cover_degrees(L: FiniteLattice) -> list[int]:
-    deg = [0] * L.size
-    for i, j in L.covers():
-        deg[i] += 1
-        deg[j] += 1
-    return deg
-
-
-def find_sublattice_copy(
-    L: FiniteLattice,
-    pattern: FiniteLattice,
-    max_host: int = MAX_SUBLATTICE_HOST,
-) -> Optional[LatticeEmbedding]:
-    """First meet/join-preserving injective copy of pattern inside L, or None.
-
-    Backtracking over pattern elements ordered by (cover degree descending,
-    index), candidate targets tried in increasing index, so the returned
-    witness is deterministic; absence means no copy exists (the search is
-    exhaustive).
+def _first_isomorphism(
+    rows1: Sequence[tuple[int, ...]], rows2: Sequence[tuple[int, ...]], order: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """The first bijection f (f[x] = image of x) with bit y of rows1[x][k]
+    equal to bit f[y] of rows2[f[x]][k] for every relation k and all points
+    x, y, or None.  Points are placed in `order`, images tried in increasing
+    index, each only among the images with its signature (the size of each
+    of its rows).  The relations must be reflexive and closed under
+    converse, at the same index on both sides, as (up, down) and
+    equivalence relations are, so a new point is tested only against the
+    rows of the points already placed.
     """
-    if L.size > max_host:
-        raise SizeLimit("sublattice search host", L.size, max_host)
-    if pattern.size > L.size:
+    n = len(rows1)
+    sig1 = [tuple(map(int.bit_count, row)) for row in rows1]
+    sig2 = [tuple(map(int.bit_count, row)) for row in rows2]
+    if sorted(sig1) != sorted(sig2):
         return None
-    deg = _cover_degrees(pattern)
-    order = sorted(range(pattern.size), key=lambda x: (-deg[x], x))
-    assigned: dict[int, int] = {}
-    used = [False] * L.size
+    with_sig: dict[tuple, int] = {}
+    for v, sig in enumerate(sig2):
+        with_sig[sig] = with_sig.get(sig, 0) | 1 << v
+    f = [0] * n
 
-    def consistent(x: int, v: int) -> bool:
-        for y, w in assigned.items():
-            if pattern.le(x, y) != L.le(v, w) or pattern.le(y, x) != L.le(w, v):
-                return False
-            m = pattern.meet(x, y)
-            if m in assigned and assigned[m] != L.meet(v, w):
-                return False
-            j = pattern.join(x, y)
-            if j in assigned and assigned[j] != L.join(v, w):
-                return False
-        return True
+    def candidates(p: int, free: int) -> int:
+        x = order[p]
+        cand = free & with_sig[sig1[x]]
+        for y in order[:p]:
+            for r1, r2 in zip(rows1[y], rows2[f[y]]):
+                cand &= r2 if r1 >> x & 1 else ~r2
+            if not cand:
+                break
+        return cand
 
-    def extend(pos: int) -> Optional[tuple[int, ...]]:
-        if pos == len(order):
-            f = tuple(assigned[x] for x in range(pattern.size))
-            emb = LatticeEmbedding(pattern, L, f)
-            return f if check_embedding(emb) else None
-        x = order[pos]
-        for v in range(L.size):
-            if used[v] or not consistent(x, v):
-                continue
-            assigned[x] = v
-            used[v] = True
-            result = extend(pos + 1)
-            if result is not None:
-                return result
-            del assigned[x]
-            used[v] = False
-        return None
-
-    f = extend(0)
-    return None if f is None else LatticeEmbedding(pattern, L, f)
+    # depth-first without recursion: stack[p] holds the untried images of order[p]
+    free = (1 << n) - 1
+    stack = [candidates(0, free)]
+    while stack:
+        p = len(stack) - 1
+        cand = stack[p]
+        if not cand:
+            stack.pop()
+            if p:
+                free |= 1 << f[order[p - 1]]
+            continue
+        low = cand & -cand
+        stack[p] = cand ^ low
+        f[order[p]] = low.bit_length() - 1
+        if p + 1 == n:
+            return tuple(f)
+        free ^= low
+        stack.append(candidates(p + 1, free))
+    return None
 
 
 def lattice_isomorphism(L1: FiniteLattice, L2: FiniteLattice) -> Optional[tuple[int, ...]]:
-    """A meet/join-preserving bijection L1 -> L2 (map[i] = image of i), or None."""
+    """A meet/join-preserving bijection L1 -> L2 (map[i] = image of i), or None.
+
+    A bijection preserving <= both ways preserves meets and joins, so only
+    the order is searched, placing L1's elements by (cover degree
+    descending, index) and trying images in increasing index.
+    """
     if L1.size != L2.size:
         return None
-    emb = find_sublattice_copy(L2, L1, max_host=max(MAX_SUBLATTICE_HOST, L2.size))
-    return None if emb is None else emb.map
+    deg = [0] * L1.size
+    for i, j in L1.covers():
+        deg[i] += 1
+        deg[j] += 1
+    order = sorted(range(L1.size), key=lambda x: (-deg[x], x))
+
+    def rows(L: FiniteLattice) -> list[tuple[int, int]]:
+        return list(zip(L.up, _down_masks(L.up, L.size)))
+
+    return _first_isomorphism(rows(L1), rows(L2), order)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .eqrel import (
     EquivalenceRelation,
     _canonical_ids,
     discrete_eq,
-    eq_stats,
     kernel_of,
     meet_eq,
     restrict_eq,
@@ -36,7 +35,7 @@ from .eqrel import (
 )
 from .errors import EmptySubset, GroundMismatch, InvalidParameter, SizeLimit
 from .lattice import MAX_ELEMENTS, DegenerateParameterWarning, FiniteLattice, boolean_lattice, m_lattice
-from .lattice import lattice_from_json, lattice_to_json
+from .lattice import _first_isomorphism, lattice_from_json, lattice_to_json
 
 MAX_CPP_GROUND = 7
 MAX_ISO_GROUND = 10
@@ -153,34 +152,18 @@ def reps_isomorphic(
     n = R1.ground_size
     if n > max_ground:
         raise SizeLimit("representation isomorphism ground", n, max_ground)
-    for r in range(R1.lattice.size):
-        if eq_stats(R1.alpha[r]).class_size_multiset != eq_stats(R2.alpha[r]).class_size_multiset:
-            return None
 
-    f: list[int] = []
-    used = [False] * n
+    def rows(R: Representation) -> list[tuple[int, ...]]:
+        # row r of point x is the bitmask of the class of x under alpha[r]
+        masks = []
+        for rel in R.alpha:
+            of_class = [0] * n
+            for point, c in enumerate(rel.class_id):
+                of_class[c] |= 1 << point
+            masks.append([of_class[c] for c in rel.class_id])
+        return list(zip(*masks))
 
-    def compatible(x: int, v: int) -> bool:
-        for y, w in enumerate(f):
-            for r in range(R1.lattice.size):
-                if R1.alpha[r].relates(x, y) != R2.alpha[r].relates(v, w):
-                    return False
-        return True
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        for v in range(n):
-            if not used[v] and compatible(x, v):
-                f.append(v)
-                used[v] = True
-                if extend(x + 1):
-                    return True
-                f.pop()
-                used[v] = False
-        return False
-
-    return tuple(f) if extend(0) else None
+    return _first_isomorphism(rows(R1), rows(R2), range(n))
 
 
 def canonical_for(theta: EquivalenceRelation, R: Representation) -> Optional[int]:

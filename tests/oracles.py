@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from finlat.congruence import FiniteAlgebra
-from finlat.lattice import FiniteLattice, build_lattice, lattice_isomorphism
+from finlat.lattice import FiniteLattice, build_lattice
 from finlat.reps import Representation
 
 
@@ -102,18 +102,46 @@ def relabeled(L: FiniteLattice, rng) -> FiniteLattice:
     return build_lattice(L.size, pairs)
 
 
+def oracle_first_isomorphism(n: int, related1, related2, order) -> tuple | None:
+    """The least bijection f, comparing (f[order[0]], f[order[1]], ...)
+    lexicographically, with related1(x, y) == related2(f[x], f[y]) for all
+    points x, y; None when no permutation qualifies."""
+    f = [0] * n
+    for images in permutations(range(n)):
+        for x, v in zip(order, images):
+            f[x] = v
+        if all(related1(x, y) == related2(f[x], f[y]) for x in range(n) for y in range(n)):
+            return tuple(f)
+    return None
+
+
+def cover_degree_order(L: FiniteLattice) -> list[int]:
+    """Elements by number of covers (up or down) descending, then index,
+    with covers read off L.le alone."""
+    n = L.size
+    def covers(x, y):
+        return x != y and L.le(x, y) and not any(
+            z not in (x, y) and L.le(x, z) and L.le(z, y) for z in range(n))
+    degree = [sum(covers(x, y) or covers(y, x) for y in range(n)) for x in range(n)]
+    return sorted(range(n), key=lambda x: (-degree[x], x))
+
+
+def oracle_lattice_isomorphism(L1: FiniteLattice, L2: FiniteLattice) -> tuple | None:
+    """The first order isomorphism L1 -> L2 in cover-degree order, by brute force."""
+    if L1.size != L2.size:
+        return None
+    return oracle_first_isomorphism(L1.size, L1.le, L2.le, cover_degree_order(L1))
+
+
 def iso_classes(lattices) -> list[FiniteLattice]:
-    """One representative per isomorphism class, bucketed by cheap invariants."""
+    """One representative per isomorphism class, bucketed by up-set sizes."""
     buckets: dict[tuple, list[FiniteLattice]] = {}
     out = []
     for L in lattices:
-        key = (
-            L.size,
-            tuple(sorted(bin(u).count("1") for u in L.up)),
-            len(L.covers()),
-        )
+        n = L.size
+        key = (n, tuple(sorted(sum(L.le(x, y) for y in range(n)) for x in range(n))))
         reps_in_bucket = buckets.setdefault(key, [])
-        if not any(lattice_isomorphism(L, M) is not None for M in reps_in_bucket):
+        if not any(oracle_lattice_isomorphism(L, M) is not None for M in reps_in_bucket):
             reps_in_bucket.append(L)
             out.append(L)
     return out

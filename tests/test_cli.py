@@ -214,6 +214,19 @@ class TestAlg:
         cg = congruence_lattice(found)
         assert lattice_isomorphism(chain_lattice(3), cg.lattice) is not None
 
+    def test_search_binary_pool_refused_before_listing(self, capsys, tmp_path):
+        # carrier 4 has 4^16 binary tables; the pool is charged to the
+        # candidate budget before one of them is built
+        from finlat.lattice import lattice_to_json, m_lattice
+
+        path = tmp_path / "m4.json"
+        path.write_text(json.dumps(lattice_to_json(m_lattice(4))))
+        start = time.perf_counter()
+        code, report = run_json(["alg", "search", str(path), "--max-binary", "1"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and report["exhausted_budget"] is True and report["found"] is False
+        assert report["note"] == "budget exhausted; absence within the budget is not a proof"
+
 
 class TestReasonable:
     def test_pentagon_bc(self, capsys):

@@ -20,7 +20,6 @@ from finlat.lattice import (
     dual,
     equivalenced_from_json,
     equivalenced_to_json,
-    find_sublattice_copy,
     hexagon,
     ideal_elements,
     is_distributive,
@@ -39,7 +38,7 @@ from finlat.lattice import (
     validate_lattice,
 )
 
-from oracles import enumerate_labeled_lattices, iso_classes, relabeled
+from oracles import enumerate_labeled_lattices, iso_classes, oracle_lattice_isomorphism, relabeled
 
 
 def small_lattices(max_size=5):
@@ -262,34 +261,39 @@ class TestTwoOplus:
                 assert L.le(x, y) == T.le(x + 1, y + 1)
 
 
-class TestSublatticeSearch:
-    def test_no_m3_in_boolean3(self):
-        assert find_sublattice_copy(boolean_lattice(3), m_lattice(3)) is None
+class TestIsomorphism:
+    def test_equals_oracle_on_all_small_lattices(self):
+        # every labelled lattice with at most 6 elements, against two seeded
+        # relabellings and against one lattice of each isomorphism class of
+        # its size, all but one of which are not isomorphic to it
+        rng = random.Random(8)
+        for n in range(1, 7):
+            lattices = list(enumerate_labeled_lattices(n))
+            classes = iso_classes(lattices)
+            for L in lattices:
+                for M in [relabeled(L, rng), relabeled(L, rng)] + classes:
+                    for A, B in ((L, M), (M, L)):
+                        assert lattice_isomorphism(A, B) == oracle_lattice_isomorphism(A, B)
 
-    def test_pentagon_identity(self):
-        emb = find_sublattice_copy(pentagon(), pentagon())
-        assert emb is not None and emb.map == (0, 1, 2, 3, 4)
+    def test_first_map_follows_cover_degree_order(self):
+        # the automorphism swaps 2 with 3 and 4 with 5, and 4 has more covers
+        # than 2, so which map comes first depends on the order of placement
+        L = build_lattice(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5), (4, 6), (5, 6)])
+        rng = random.Random(1)
+        for _ in range(4):
+            M = relabeled(L, rng)
+            for A, B in ((L, M), (M, L)):
+                assert lattice_isomorphism(A, B) == oracle_lattice_isomorphism(A, B)
 
-    def test_m3_in_m4(self):
-        emb = find_sublattice_copy(m_lattice(4), m_lattice(3))
-        assert emb is not None
-        assert check_embedding(emb)
+    def test_sizes_differ(self):
+        assert lattice_isomorphism(pentagon(), hexagon()) is None
 
-    def test_embeddings_recheck(self):
-        for L in [hexagon(), m_lattice(4), two_oplus(pentagon())]:
-            for pattern in [m_lattice(3), pentagon()]:
-                emb = find_sublattice_copy(L, pattern)
-                if emb is not None:
-                    assert check_embedding(emb)
-
-    def test_deterministic(self):
-        a = find_sublattice_copy(m_lattice(4), m_lattice(3))
-        b = find_sublattice_copy(m_lattice(4), m_lattice(3))
-        assert a.map == b.map
-
-    def test_host_budget(self):
-        with pytest.raises(SizeLimit):
-            find_sublattice_copy(boolean_lattice(3), pentagon(), max_host=4)
+    def test_b2_b2_c3_onto_itself(self):
+        L = product(product(boolean_lattice(2), boolean_lattice(2)), chain_lattice(3))
+        start = time.perf_counter()
+        f = lattice_isomorphism(L, L)
+        assert time.perf_counter() - start < 0.5
+        assert f is not None and check_embedding(LatticeEmbedding(L, L, f))
 
 
 class TestDistributivity:

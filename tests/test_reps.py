@@ -40,7 +40,7 @@ from finlat.reps import (
     verify_pseudo_rep,
 )
 
-from oracles import blocks_set, oracle_ncpp, oracle_ncpp_certificate
+from oracles import blocks_set, oracle_first_isomorphism, oracle_ncpp, oracle_ncpp_certificate
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -169,6 +169,24 @@ class TestIsomorphism:
     def test_lattice_mismatch(self):
         with pytest.raises(InvalidParameter):
             reps_isomorphic(m3_base_rep(), pairs_b2_rep(3))
+
+    def test_equals_oracle_on_seeded_grounds(self):
+        # seeded restrictions to at most 6 points, each against a seeded
+        # relabelling and against another restriction of the same size
+        def related(rep):
+            return lambda x, y: tuple(rel.relates(x, y) for rel in rep.alpha)
+
+        rng = random.Random(5)
+        for R in (pairs_b2_rep(4), pairs_b2_rep(5), power_rep(m3_base_rep(), 2)):
+            for _ in range(25):
+                size = rng.randint(1, 6)
+                S = restrict_rep(R, rng.sample(range(R.ground_size), size))
+                U = restrict_rep(R, rng.sample(range(R.ground_size), size))
+                perm = list(range(size))
+                rng.shuffle(perm)
+                for A, B in ((S, relabel_rep(S, perm)), (S, U), (U, S)):
+                    want = oracle_first_isomorphism(size, related(A), related(B), range(size))
+                    assert reps_isomorphic(A, B) == want
 
 
 class TestCanonicalFor:
