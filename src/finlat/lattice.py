@@ -3,8 +3,9 @@
 Elements are dense indices 0..n-1; labels are cosmetic.  The order is kept
 as one bitmask per element (bit j of up[i] set iff i <= j), and meet/join
 tables are derived and checked at construction, so every FiniteLattice in
-circulation is valid.  All values are immutable and every operation is a
-pure function, safe for concurrent use.
+circulation is valid.  Checking the order and the tables is enough: they
+make meet the glb and join the lub, and the lattice laws follow.  All values
+are immutable and every operation is a pure function, safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -98,6 +99,18 @@ def _down_masks(up: Sequence[int], n: int) -> list[int]:
     return down
 
 
+def _table_rows(up: Sequence[int], down: Sequence[int]) -> tuple[list[tuple], list[tuple]]:
+    """The meet and join rows of the order, None where a meet or join is missing.
+
+    meet(i, j) is the element whose down-set is down[i] & down[j]; join dually.
+    """
+    by_down = {d: k for k, d in enumerate(down)}
+    by_up = {u: k for k, u in enumerate(up)}
+    meet_rows = [tuple([by_down.get(di & d) for d in down]) for di in down]
+    join_rows = [tuple([by_up.get(ui & u) for u in up]) for ui in up]
+    return meet_rows, join_rows
+
+
 def build_lattice(
     size: int,
     leq_pairs: Iterable[tuple[int, int]],
@@ -114,6 +127,9 @@ def build_lattice(
         raise InvalidParameter("a lattice needs at least one element")
     if size > max_size:
         raise SizeLimit("lattice size", size, max_size)
+    lab = tuple(labels) if labels is not None else None
+    if lab is not None and len(lab) != size:
+        raise InvalidParameter("labels length must equal size")
     up = [1 << i for i in range(size)]
     for a, b in leq_pairs:
         if not (0 <= a < size and 0 <= b < size):
@@ -124,68 +140,51 @@ def build_lattice(
         for i in range(size):
             if up[i] & bit:
                 up[i] |= up[k]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                raise NotAPartialOrder(i, j)
-    # a meet exists iff the intersection of the principal down-sets is itself
-    # principal, and then it is the element owning that down-set; dually for joins
     down = _down_masks(up, size)
-    by_down = {d: k for k, d in enumerate(down)}
-    by_up = {u: k for k, u in enumerate(up)}
-    meet_rows = []
-    join_rows = []
+    # the first i with a mutual partner j != i, at its least partner, is the
+    # first such pair (i, j) in index order: a partner j < i would have come first
     for i in range(size):
-        di, ui = down[i], up[i]
-        mrow = [by_down.get(di & d) for d in down]
-        jrow = [by_up.get(ui & u) for u in up]
+        mutual = up[i] & down[i] & ~(1 << i)
+        if mutual:
+            raise NotAPartialOrder(i, (mutual & -mutual).bit_length() - 1)
+    meet_rows, join_rows = _table_rows(up, down)
+    for i in range(size):
+        mrow, jrow = meet_rows[i], join_rows[i]
         if None in mrow or None in jrow:
             j = next(j for j in range(size) if mrow[j] is None or jrow[j] is None)
             raise NotALattice(i, j, "meet" if mrow[j] is None else "join")
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
-    lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != size:
-        raise InvalidParameter("labels length must equal size")
     return FiniteLattice(size, tuple(up), tuple(meet_rows), tuple(join_rows), lab)
 
 
 def validate_lattice(L: FiniteLattice) -> list[str]:
-    """Re-check every axiom from scratch; returns a list of violations (empty = valid)."""
+    """Re-check the order and the tables in O(n^2); returns the violations (empty = valid).
+
+    When up is a partial order and each table cell is the glb or lub read off
+    the down-sets and up-sets, every lattice law holds (Davey and Priestley,
+    Introduction to Lattices and Order, 2nd ed., the Connecting Lemma and
+    Theorem 2.10), so the laws are not checked separately.
+    """
     problems = []
     n = L.size
+    up = L.up
     for i in range(n):
-        if not L.le(i, i):
+        if not up[i] >> i & 1:
             problems.append(f"reflexivity fails at {i}")
     for i in range(n):
-        for j in range(n):
-            if i != j and L.le(i, j) and L.le(j, i):
+        for j in _bits(up[i]):
+            if j != i and up[j] >> i & 1:
                 problems.append(f"antisymmetry fails at ({i}, {j})")
-            for k in range(n):
-                if L.le(i, j) and L.le(j, k) and not L.le(i, k):
-                    problems.append(f"transitivity fails at ({i}, {j}, {k})")
-    down = _down_masks(L.up, n)
-    by_down = {d: k for k, d in enumerate(down)}
-    by_up = {u: k for k, u in enumerate(L.up)}
+            for k in _bits(up[j] & ~up[i]):
+                problems.append(f"transitivity fails at ({i}, {j}, {k})")
+    meet_rows, join_rows = _table_rows(up, _down_masks(up, n))
     for i in range(n):
+        mrow, jrow = meet_rows[i], join_rows[i]
         for j in range(n):
-            if by_down.get(down[i] & down[j]) != L.meet(i, j):
+            # a None cell names no element, even where the stored table has it
+            if mrow[j] is None or mrow[j] != L.meet(i, j):
                 problems.append(f"meet table wrong at ({i}, {j})")
-            if by_up.get(L.up[i] & L.up[j]) != L.join(i, j):
+            if jrow[j] is None or jrow[j] != L.join(i, j):
                 problems.append(f"join table wrong at ({i}, {j})")
-    for x in range(n):
-        for y in range(n):
-            if L.meet(x, y) != L.meet(y, x) or L.join(x, y) != L.join(y, x):
-                problems.append(f"commutativity fails at ({x}, {y})")
-            if L.meet(x, L.join(x, y)) != x or L.join(x, L.meet(x, y)) != x:
-                problems.append(f"absorption fails at ({x}, {y})")
-            for z in range(n):
-                if L.meet(x, L.meet(y, z)) != L.meet(L.meet(x, y), z):
-                    problems.append(f"meet associativity fails at ({x}, {y}, {z})")
-                if L.join(x, L.join(y, z)) != L.join(L.join(x, y), z):
-                    problems.append(f"join associativity fails at ({x}, {y}, {z})")
-        if L.meet(x, x) != x or L.join(x, x) != x:
-            problems.append(f"idempotence fails at {x}")
     return problems
 
 

@@ -92,6 +92,91 @@ def enumerate_labeled_lattices(size: int) -> Iterator[FiniteLattice]:
         yield build_lattice(size, pairs)
 
 
+DERIVED_LAWS = (
+    "commutativity", "absorption", "meet associativity", "join associativity", "idempotence",
+)
+
+
+def oracle_lattice_problems(L: FiniteLattice) -> list[str]:
+    """Every order fact, table cell and lattice law of L, checked on every
+    pair and triple through L.le, L.meet and L.join only.
+
+    The order and table lines come first, in the library's message format;
+    the lines that start with a DERIVED_LAWS entry follow.
+    """
+    n = L.size
+    problems = []
+    for i in range(n):
+        if not L.le(i, i):
+            problems.append(f"reflexivity fails at {i}")
+    for i in range(n):
+        for j in range(n):
+            if i != j and L.le(i, j) and L.le(j, i):
+                problems.append(f"antisymmetry fails at ({i}, {j})")
+            for k in range(n):
+                if L.le(i, j) and L.le(j, k) and not L.le(i, k):
+                    problems.append(f"transitivity fails at ({i}, {j}, {k})")
+    ups = [sum(1 << j for j in range(n) if L.le(i, j)) for i in range(n)]
+    downs = [sum(1 << j for j in range(n) if L.le(j, i)) for i in range(n)]
+    by_down = {d: k for k, d in enumerate(downs)}
+    by_up = {u: k for k, u in enumerate(ups)}
+    for i in range(n):
+        for j in range(n):
+            if by_down.get(downs[i] & downs[j]) != L.meet(i, j):
+                problems.append(f"meet table wrong at ({i}, {j})")
+            if by_up.get(ups[i] & ups[j]) != L.join(i, j):
+                problems.append(f"join table wrong at ({i}, {j})")
+    for x in range(n):
+        for y in range(n):
+            if L.meet(x, y) != L.meet(y, x) or L.join(x, y) != L.join(y, x):
+                problems.append(f"commutativity fails at ({x}, {y})")
+            if L.meet(x, L.join(x, y)) != x or L.join(x, L.meet(x, y)) != x:
+                problems.append(f"absorption fails at ({x}, {y})")
+            for z in range(n):
+                if L.meet(x, L.meet(y, z)) != L.meet(L.meet(x, y), z):
+                    problems.append(f"meet associativity fails at ({x}, {y}, {z})")
+                if L.join(x, L.join(y, z)) != L.join(L.join(x, y), z):
+                    problems.append(f"join associativity fails at ({x}, {y}, {z})")
+        if L.meet(x, x) != x or L.join(x, x) != x:
+            problems.append(f"idempotence fails at {x}")
+    return problems
+
+
+def oracle_build_outcome(size: int, pairs) -> tuple:
+    """What build_lattice must make of these pairs, by brute force.
+
+    Closes the relation by relaxing to a fixpoint, scans pairs (i, j), i < j,
+    for antisymmetry, then each (i, j) in index order for a greatest lower
+    and a least upper bound.  Returns ("order", (i, j)), ("lattice", (i, j),
+    kind) or ("ok", le, meet, join) with le a matrix and meet, join tables.
+    """
+    le = [[i == j for j in range(size)] for i in range(size)]
+    for a, b in pairs:
+        le[a][b] = True
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in product(range(size), repeat=3):
+            if le[i][j] and le[j][k] and not le[i][k]:
+                le[i][k] = changed = True
+    for i, j in combinations(range(size), 2):
+        if le[i][j] and le[j][i]:
+            return ("order", (i, j))
+    meet = [[None] * size for _ in range(size)]
+    join = [[None] * size for _ in range(size)]
+    for i, j in product(range(size), repeat=2):
+        lower = [k for k in range(size) if le[k][i] and le[k][j]]
+        upper = [k for k in range(size) if le[i][k] and le[j][k]]
+        glb = [g for g in lower if all(le[h][g] for h in lower)]
+        lub = [g for g in upper if all(le[g][h] for h in upper)]
+        if not glb:
+            return ("lattice", (i, j), "meet")
+        if not lub:
+            return ("lattice", (i, j), "join")
+        meet[i][j], join[i][j] = glb[0], lub[0]
+    return ("ok", le, meet, join)
+
+
 def relabeled(L: FiniteLattice, rng) -> FiniteLattice:
     """L renumbered by a random permutation and rebuilt from its cover
     pairs in random order, so index order need not be a linear extension."""

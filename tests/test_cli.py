@@ -68,6 +68,23 @@ class TestAnalyze:
         assert cli.main(["analyze", str(DATA / "not_lattice.json")]) == 2
         assert cli.main(["analyze", str(DATA / "bad_poset.json")]) == 2
 
+    def test_label_count_mismatch_names_file(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        leq = [[i, i + 1] for i in range(2047)]
+        path.write_text(json.dumps({"size": 2048, "leq": leq, "labels": ["x"]}))
+        start = time.perf_counter()
+        assert cli.main(["analyze", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert "ParseError" in err and str(path) in err and "labels length" in err
+
+    def test_validates_above_64_elements(self, capsys):
+        code, report = run_json(
+            ["analyze", "--std", "boolean(7)", "--budget", "max_sublattice_host=128"], capsys
+        )
+        assert code == 0
+        assert report["size"] == 128 and report["valid"] is True
+
     def test_deterministic_output(self, capsys):
         _, first = run(["analyze", str(DATA / "m3.json")], capsys)
         _, second = run(["analyze", str(DATA / "m3.json")], capsys)

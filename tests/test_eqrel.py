@@ -85,7 +85,8 @@ class TestLatticeOps:
     def test_exhaustive_laws_ground_five_via_lattice(self):
         # ground 5 exhaustively: meet_eq/join_eq must match the validated
         # Eq(5) lattice tables on every pair, and those tables satisfy all
-        # the laws (validate_lattice re-checks them on every triple)
+        # the laws (validate_lattice checks the order and that the tables are
+        # its glb and lub, from which every law follows)
         from finlat.lattice import validate_lattice
 
         lat, parts = eq_lattice(5)

@@ -10,6 +10,7 @@ from finlat.lattice import (
     BirkhoffVerdict,
     DegenerateParameterWarning,
     EquivalencedLattice,
+    FiniteLattice,
     LatticeEmbedding,
     birkhoff_oracle,
     boolean_lattice,
@@ -38,7 +39,15 @@ from finlat.lattice import (
     validate_lattice,
 )
 
-from oracles import enumerate_labeled_lattices, iso_classes, oracle_lattice_isomorphism, relabeled
+from oracles import (
+    DERIVED_LAWS,
+    enumerate_labeled_lattices,
+    iso_classes,
+    oracle_build_outcome,
+    oracle_lattice_isomorphism,
+    oracle_lattice_problems,
+    relabeled,
+)
 
 
 def small_lattices(max_size=5):
@@ -69,6 +78,52 @@ class TestBuildLattice:
         with pytest.raises(NotALattice) as err:
             build_lattice(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         assert err.value.witness == (0, 1)
+
+    def test_cycle_witness_is_first_pair(self):
+        # the 3-cycle 1 -> 3 -> 2 -> 1: (1, 2) comes before (1, 3) and (2, 3)
+        with pytest.raises(NotAPartialOrder) as err:
+            build_lattice(4, [(1, 3), (3, 2), (2, 1)])
+        assert err.value.witness == (1, 2)
+
+    def test_witnesses_equal_oracle_on_seeded_pairs(self):
+        rng = random.Random(20261018)
+        seen = {"order": 0, "lattice": 0, "ok": 0}
+        for _ in range(3000):
+            size = rng.randint(1, 8)
+            pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, 10))]
+            if rng.random() < 0.7:
+                # orient along a random numbering, so most lists are acyclic
+                pos = rng.sample(range(size), size)
+                pairs = [(a, b) if pos[a] <= pos[b] else (b, a) for a, b in pairs]
+                if rng.random() < 0.6:
+                    # add a least and a greatest element, so many orders are lattices
+                    low, high = pos.index(0), pos.index(size - 1)
+                    pairs += [(low, k) for k in range(size)] + [(k, high) for k in range(size)]
+                    rng.shuffle(pairs)
+            expected = oracle_build_outcome(size, pairs)
+            seen[expected[0]] += 1
+            if expected[0] == "order":
+                with pytest.raises(NotAPartialOrder) as err:
+                    build_lattice(size, pairs)
+                assert err.value.witness == expected[1], (size, pairs)
+            elif expected[0] == "lattice":
+                with pytest.raises(NotALattice) as err:
+                    build_lattice(size, pairs)
+                assert (err.value.witness, err.value.kind) == expected[1:], (size, pairs)
+            else:
+                L = build_lattice(size, pairs)
+                _, le, meet, join = expected
+                assert [[L.le(i, j) for j in range(size)] for i in range(size)] == le
+                assert [list(row) for row in L.meet_table] == meet
+                assert [list(row) for row in L.join_table] == join
+        assert min(seen.values()) >= 200, seen
+
+    def test_label_count_refused_before_closure(self):
+        pairs = [(i, i + 1) for i in range(2047)]
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match="labels length must equal size"):
+            build_lattice(2048, pairs, labels=("x",))
+        assert time.perf_counter() - start < 0.1
 
     def test_size_budget(self):
         with pytest.raises(SizeLimit):
@@ -455,6 +510,56 @@ class TestSerialization:
     def test_bad_json(self):
         with pytest.raises(InvalidParameter):
             lattice_from_json({"size": 3})
+
+
+def _mutated(L, rng):
+    """L with one to three random up bits flipped or table cells overwritten;
+    no construction check runs, so the object may violate anything."""
+    n = L.size
+    up = list(L.up)
+    meet = [list(row) for row in L.meet_table]
+    join = [list(row) for row in L.join_table]
+    for _ in range(rng.randint(1, 3)):
+        i, j, kind = rng.randrange(n), rng.randrange(n), rng.randrange(3)
+        if kind == 0:
+            up[i] ^= 1 << j
+        else:
+            (meet if kind == 1 else join)[i][j] = rng.randrange(n)
+    return FiniteLattice(n, tuple(up), tuple(map(tuple, meet)), tuple(map(tuple, join)))
+
+
+class TestValidateLattice:
+    def test_equals_oracle_on_intact_and_mutated(self):
+        rng = random.Random(9)
+        bases = small_lattices(6)
+        bases += [relabeled(L, rng) for L in bases]
+        cases = list(bases)
+        while len(cases) < len(bases) + 10_000:
+            cases.append(_mutated(rng.choice(bases), rng))
+        invalid = 0
+        for L in cases:
+            expected = oracle_lattice_problems(L)
+            got = validate_lattice(L)
+            assert got == [p for p in expected if not p.startswith(DERIVED_LAWS)], L
+            assert bool(got) == bool(expected), L
+            invalid += bool(got)
+        assert invalid > 5000
+
+    def test_missing_meet_stored_as_none_is_reported(self):
+        # 0, 1 < 2 with no meet of 0 and 1: a table holding None there agrees
+        # with the down-set lookup but names no element
+        meet = ((0, None, 0), (None, 1, 1), (0, 1, 2))
+        join = ((0, 2, 2), (2, 1, 2), (2, 2, 2))
+        broken = FiniteLattice(3, (0b101, 0b110, 0b100), meet, join)
+        assert validate_lattice(broken) == [
+            "meet table wrong at (0, 1)", "meet table wrong at (1, 0)",
+        ]
+
+    def test_boolean_7_is_quadratic(self):
+        L = boolean_lattice(7)
+        start = time.perf_counter()
+        assert validate_lattice(L) == []
+        assert time.perf_counter() - start < 0.3
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
