@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Iterator, Optional, Sequence
 from .errors import EmptySubset, GroundMismatch, InvalidParameter, SizeLimit
 
 
-def _canonical_ids(values: Sequence[Hashable]) -> tuple[int, ...]:
+def _canonical_ids(values: Iterable[Hashable]) -> tuple[int, ...]:
     remap: dict = {}
     out = []
     for v in values:
@@ -152,7 +152,7 @@ def meet_eq(t1: EquivalenceRelation, t2: EquivalenceRelation) -> EquivalenceRela
     """Intersection of the two relations: the common refinement."""
     if t1.ground_size != t2.ground_size:
         raise GroundMismatch(f"ground sizes differ: {t1.ground_size} != {t2.ground_size}")
-    return from_class_ids(_canonical_ids(tuple(zip(t1.class_id, t2.class_id))))
+    return EquivalenceRelation(t1.ground_size, _canonical_ids(zip(t1.class_id, t2.class_id)))
 
 
 def join_eq(t1: EquivalenceRelation, t2: EquivalenceRelation) -> EquivalenceRelation:
@@ -277,20 +277,20 @@ def _pair_mask(t: EquivalenceRelation) -> int:
 
 
 def refinement_lattice(parts: Sequence[EquivalenceRelation]):
-    """The given relations ordered by refines; element i is parts[i], labeled by its classes."""
-    from .lattice import build_lattice
+    """The given relations ordered by refines; element i is parts[i], labeled by its classes.
 
+    No size limit of its own: every caller bounds the number of relations.
+    """
+    from .lattice import _order_lattice
+
+    if not parts:
+        raise InvalidParameter("a lattice needs at least one element")
     for t in parts[1:]:
         if t.ground_size != parts[0].ground_size:
             raise GroundMismatch(f"ground sizes differ: {parts[0].ground_size} != {t.ground_size}")
     masks = [_pair_mask(t) for t in parts]
-    pairs = [
-        (i, j)
-        for i, m1 in enumerate(masks)
-        for j, m2 in enumerate(masks)
-        if not m1 & ~m2
-    ]
-    return build_lattice(len(parts), pairs, labels=tuple(partition_label(t) for t in parts))
+    up = [sum(1 << j for j, m2 in enumerate(masks) if not m1 & ~m2) for m1 in masks]
+    return _order_lattice(up, tuple(partition_label(t) for t in parts))
 
 
 def eq_lattice(n: int, max_ground: int = 5):

@@ -1,11 +1,14 @@
 """Finite bounded lattices: construction, validation, and classification.
 
 Elements are dense indices 0..n-1; labels are cosmetic.  The order is kept
-as one bitmask per element (bit j of up[i] set iff i <= j), and meet/join
-tables are derived and checked at construction, so every FiniteLattice in
-circulation is valid.  Checking the order and the tables is enough: they
-make meet the glb and join the lub, and the lattice laws follow.  All values
-are immutable and every operation is a pure function, safe for concurrent use.
+as one bitmask per element (bit j of up[i] set iff i <= j).  Every lattice,
+whether parsed, standard or made by a construction (product included),
+passes through one check, _order_lattice, which derives the meet/join tables
+from the order, so every FiniteLattice in circulation is valid; dual only
+swaps the tables of a valid lattice.  Checking the order and the tables is
+enough: they make meet the glb and join the lub, and the lattice laws
+follow.  All values are immutable and every operation is a pure function,
+safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import heapq
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .eqrel import EquivalenceRelation, _UnionFind
@@ -61,23 +65,28 @@ class FiniteLattice:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """down[j] is the bitmask of {i : i <= j}.
+
+        Derived from up on first use and kept on the instance; not a field,
+        so it takes no part in equality or hashing.
+        """
+        return tuple(_down_masks(self.up, self.size))
+
     def leq_pairs(self) -> tuple[tuple[int, int], ...]:
         """All ordered pairs (i, j) with i <= j, including reflexive ones."""
-        return tuple(
-            (i, j) for i in range(self.size) for j in range(self.size) if self.le(i, j)
-        )
+        return tuple((i, j) for i in range(self.size) for j in _bits(self.up[i]))
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All cover pairs (i, j): i < j with nothing strictly between."""
-        out = []
-        down = _down_masks(self.up, self.size)
-        for i in range(self.size):
-            for j in range(self.size):
-                if i != j and self.le(i, j):
-                    between = self.up[i] & down[j] & ~(1 << i) & ~(1 << j)
-                    if between == 0:
-                        out.append((i, j))
-        return tuple(out)
+        up, down = self.up, self.down
+        return tuple(
+            (i, j)
+            for i in range(self.size)
+            for j in _bits(up[i] & ~(1 << i))
+            if not up[i] & down[j] & ~(1 << i | 1 << j)
+        )
 
     def elements(self) -> range:
         return range(self.size)
@@ -140,6 +149,18 @@ def build_lattice(
         for i in range(size):
             if up[i] & bit:
                 up[i] |= up[k]
+    return _order_lattice(up, lab)
+
+
+def _order_lattice(up: list[int], labels: Optional[tuple[str, ...]]) -> FiniteLattice:
+    """The lattice of the order whose up-set masks are up, which must be
+    reflexive and transitive; the one place an order becomes a lattice.
+
+    Raises NotAPartialOrder at the first pair (i, j), i < j, with i <= j <= i,
+    and NotALattice at the first pair (i, j) in index order with no meet or
+    no join.
+    """
+    size = len(up)
     down = _down_masks(up, size)
     # the first i with a mutual partner j != i, at its least partner, is the
     # first such pair (i, j) in index order: a partner j < i would have come first
@@ -153,7 +174,7 @@ def build_lattice(
         if None in mrow or None in jrow:
             j = next(j for j in range(size) if mrow[j] is None or jrow[j] is None)
             raise NotALattice(i, j, "meet" if mrow[j] is None else "join")
-    return FiniteLattice(size, tuple(up), tuple(meet_rows), tuple(join_rows), lab)
+    return FiniteLattice(size, tuple(up), tuple(meet_rows), tuple(join_rows), labels)
 
 
 def validate_lattice(L: FiniteLattice) -> list[str]:
@@ -176,7 +197,7 @@ def validate_lattice(L: FiniteLattice) -> list[str]:
                 problems.append(f"antisymmetry fails at ({i}, {j})")
             for k in _bits(up[j] & ~up[i]):
                 problems.append(f"transitivity fails at ({i}, {j}, {k})")
-    meet_rows, join_rows = _table_rows(up, _down_masks(up, n))
+    meet_rows, join_rows = _table_rows(up, L.down)
     for i in range(n):
         mrow, jrow = meet_rows[i], join_rows[i]
         for j in range(n):
@@ -284,8 +305,7 @@ def standard_lattice(kind: str, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
 
 def dual(L: FiniteLattice) -> FiniteLattice:
     """Order reversed, meet and join swapped; an involution on elements."""
-    down = _down_masks(L.up, L.size)
-    return FiniteLattice(L.size, tuple(down), L.join_table, L.meet_table, L.labels)
+    return FiniteLattice(L.size, L.down, L.join_table, L.meet_table, L.labels)
 
 
 def product(L1: FiniteLattice, L2: FiniteLattice, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
@@ -294,83 +314,57 @@ def product(L1: FiniteLattice, L2: FiniteLattice, max_size: int = MAX_ELEMENTS) 
     if size > max_size:
         raise SizeLimit("lattice size", size, max_size)
     n2 = L2.size
-    up = []
-    meet_rows = []
-    join_rows = []
-    for a1 in range(L1.size):
-        for a2 in range(n2):
-            mask = 0
-            for b1 in range(L1.size):
-                if not L1.le(a1, b1):
-                    continue
-                for b2 in range(n2):
-                    if L2.le(a2, b2):
-                        mask |= 1 << (b1 * n2 + b2)
-            up.append(mask)
-            meet_rows.append(
-                tuple(
-                    L1.meet(a1, b1) * n2 + L2.meet(a2, b2)
-                    for b1 in range(L1.size)
-                    for b2 in range(n2)
-                )
-            )
-            join_rows.append(
-                tuple(
-                    L1.join(a1, b1) * n2 + L2.join(a2, b2)
-                    for b1 in range(L1.size)
-                    for b2 in range(n2)
-                )
-            )
+    up = [
+        sum(L2.up[a2] << b1 * n2 for b1 in _bits(L1.up[a1]))
+        for a1 in range(L1.size)
+        for a2 in range(n2)
+    ]
     labels = tuple(
         f"({L1.label(a1)},{L2.label(a2)})" for a1 in range(L1.size) for a2 in range(n2)
     )
-    return FiniteLattice(size, tuple(up), tuple(meet_rows), tuple(join_rows), labels)
+    return _order_lattice(up, labels)
 
 
 def doubling_extension(L: FiniteLattice, a: int, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
     """The sublattice {(r, i) : i = 0 or r >= a} of L x 2, ordered lexicographically.
 
     (r, i) <= (s, j) iff r <= s and i <= j.  The result has |L| + |{r : r >= a}|
-    elements: a copy of L at level 0 plus a copy of the filter of a at level 1.
+    elements: a copy of L at level 0 (index r) plus a copy of the filter of a
+    at level 1 (index |L| + the rank of r in the filter).
     """
     if not 0 <= a < L.size:
         raise InvalidParameter(f"element {a} outside lattice of size {L.size}")
-    elems = [(r, 0) for r in range(L.size)]
-    elems += [(r, 1) for r in range(L.size) if L.le(a, r)]
-    if len(elems) > max_size:
-        raise SizeLimit("lattice size", len(elems), max_size)
-    index = {e: i for i, e in enumerate(elems)}
-    pairs = [
-        (index[(r, i)], index[(s, j)])
-        for (r, i) in elems
-        for (s, j) in elems
-        if L.le(r, s) and i <= j
-    ]
-    labels = tuple(f"({L.label(r)},{i})" for (r, i) in elems)
-    return build_lattice(len(elems), pairs, labels=labels, max_size=max_size)
+    n = L.size
+    filt = tuple(_bits(L.up[a]))
+    if n + len(filt) > max_size:
+        raise SizeLimit("lattice size", n + len(filt), max_size)
+    index = {r: k for k, r in enumerate(filt)}
+    level1 = [sum(1 << index[s] for s in _bits(L.up[r] & L.up[a])) << n for r in range(n)]
+    up = [L.up[r] | level1[r] for r in range(n)] + [level1[r] for r in filt]
+    labels = tuple(f"({L.label(r)},0)" for r in range(n)) + tuple(f"({L.label(r)},1)" for r in filt)
+    return _order_lattice(up, labels)
 
 
 def two_oplus(L: FiniteLattice) -> FiniteLattice:
     """Append a new bottom strictly below the old one; old element i becomes i + 1."""
-    pairs = [(0, i + 1) for i in range(L.size)]
-    pairs += [(i + 1, j + 1) for (i, j) in L.leq_pairs()]
+    up = [(2 << L.size) - 1] + [u << 1 for u in L.up]
     labels = ("0*",) + tuple(L.label(i) for i in range(L.size))
-    return build_lattice(L.size + 1, pairs, labels=labels)
+    return _order_lattice(up, labels)
 
 
 def ideal_elements(L: FiniteLattice, a: int) -> tuple[int, ...]:
     """The elements of the principal ideal {x : x <= a}, in index order."""
     if not 0 <= a < L.size:
         raise InvalidParameter(f"element {a} outside lattice of size {L.size}")
-    return tuple(x for x in range(L.size) if L.le(x, a))
+    return tuple(_bits(L.down[a]))
 
 
 def principal_ideal(L: FiniteLattice, a: int) -> FiniteLattice:
     """The sublattice {x : x <= a} with the induced order, reindexed densely."""
     elems = ideal_elements(L, a)
     index = {e: i for i, e in enumerate(elems)}
-    pairs = [(index[x], index[y]) for x in elems for y in elems if L.le(x, y)]
-    return build_lattice(len(elems), pairs, labels=tuple(L.label(e) for e in elems))
+    up = [sum(1 << index[y] for y in _bits(L.up[x] & L.down[a])) for x in elems]
+    return _order_lattice(up, tuple(L.label(e) for e in elems))
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +462,7 @@ def lattice_isomorphism(L1: FiniteLattice, L2: FiniteLattice) -> Optional[tuple[
         deg[j] += 1
     order = sorted(range(L1.size), key=lambda x: (-deg[x], x))
 
-    def rows(L: FiniteLattice) -> list[tuple[int, int]]:
-        return list(zip(L.up, _down_masks(L.up, L.size)))
-
-    return _first_isomorphism(rows(L1), rows(L2), order)
+    return _first_isomorphism(list(zip(L1.up, L1.down)), list(zip(L2.up, L2.down)), order)
 
 
 @dataclass(frozen=True)
@@ -496,8 +487,7 @@ def is_distributive(L: FiniteLattice, max_host: int = MAX_SUBLATTICE_HOST) -> Di
     if L.size > max_host:
         raise SizeLimit("sublattice search host", L.size, max_host)
     n = L.size
-    up, meet, join = L.up, L.meet_table, L.join_table
-    down = _down_masks(up, n)
+    up, down, meet, join = L.up, L.down, L.meet_table, L.join_table
     full = (1 << n) - 1
     incomparable = [full & ~(up[x] | down[x]) for x in range(n)]
     for a in range(n):
@@ -579,8 +569,7 @@ def _linear_extension(L: FiniteLattice, elems: Sequence[int]) -> list[int]:
     """elems (ascending) ordered so that each comes after those below it,
     the smallest available index first; index order when that already works."""
     mask = sum(1 << x for x in elems)
-    down = _down_masks(L.up, L.size)
-    waiting = {x: bin(down[x] & mask).count("1") - 1 for x in elems}
+    waiting = {x: bin(L.down[x] & mask).count("1") - 1 for x in elems}
     ready = [x for x in elems if not waiting[x]]
     order = []
     while ready:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,7 +25,10 @@ from finlat.eqrel import (
     restricted_growth_strings,
     trivial_eq,
 )
-from finlat.errors import EmptySubset, GroundMismatch, InvalidParameter, SizeLimit
+from finlat.errors import (
+    EmptySubset, GroundMismatch, InvalidParameter, NotALattice, NotAPartialOrder, SizeLimit,
+)
+from finlat.lattice import build_lattice
 
 
 class TestConstruction:
@@ -187,6 +192,39 @@ class TestEnumeration:
         lat = refinement_lattice(parts)
         assert lat.labels == tuple(partition_label(t) for t in parts)
         assert all(lat.le(i, j) == refines(parts[i], parts[j]) for i in range(4) for j in range(4))
+
+    def test_refinement_lattice_equals_build_lattice_on_seeded_families(self):
+        def outcome(make):
+            try:
+                L = make()
+            except (NotAPartialOrder, NotALattice) as err:
+                return type(err).__name__, err.args
+            return "ok", L.up, L.meet_table, L.join_table, L.labels
+
+        rng = random.Random(1018)
+        seen = {"NotAPartialOrder": 0, "NotALattice": 0, "ok": 0}
+        for n in range(1, 6):
+            parts = list(all_partitions(n))
+            for _ in range(120):
+                family = [rng.choice(parts) for _ in range(rng.randint(1, min(len(parts), 10)))]
+                if rng.random() < 0.5:
+                    family += [discrete_eq(n), trivial_eq(n)]
+                    rng.shuffle(family)
+                pairs = [
+                    (i, j)
+                    for i, s in enumerate(family)
+                    for j, t in enumerate(family)
+                    if refines(s, t)
+                ]
+                labels = [partition_label(t) for t in family]
+                got = outcome(lambda: refinement_lattice(family))
+                assert got == outcome(lambda: build_lattice(len(family), pairs, labels)), family
+                seen[got[0]] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_refinement_lattice_of_nothing_refused(self):
+        with pytest.raises(InvalidParameter, match="a lattice needs at least one element"):
+            refinement_lattice(())
 
     def test_eq_lattice_budget(self):
         with pytest.raises(SizeLimit):

@@ -452,6 +452,96 @@ class TestPrincipalIdeal:
         assert lattice_isomorphism(I, chain_lattice(3)) is not None
 
 
+def _same(got, expected):
+    # FiniteLattice equality ignores labels, so compare them as well
+    return (got.up, got.meet_table, got.join_table, got.labels) == (
+        expected.up, expected.meet_table, expected.join_table, expected.labels)
+
+
+# every labelled lattice with at most 5 elements, then the dual of each, in
+# which index order runs against the order, then two with labels
+SMALL_AND_DUALS = small_lattices(5) + [dual(L) for L in small_lattices(5)] + [pentagon(), m_lattice(3)]
+
+
+class TestConstructionsEqualBuildLattice:
+    # each construction against build_lattice on its order worked out from L.le
+    lattices = SMALL_AND_DUALS
+
+    def test_product(self):
+        for L1 in self.lattices:
+            for L2 in self.lattices:
+                n2 = L2.size
+                pairs = [
+                    (a1 * n2 + a2, b1 * n2 + b2)
+                    for a1 in L1.elements() for a2 in L2.elements()
+                    for b1 in L1.elements() for b2 in L2.elements()
+                    if L1.le(a1, b1) and L2.le(a2, b2)
+                ]
+                labels = [f"({L1.label(a1)},{L2.label(a2)})" for a1 in L1.elements() for a2 in L2.elements()]
+                assert _same(product(L1, L2), build_lattice(L1.size * n2, pairs, labels))
+
+    def test_two_oplus(self):
+        for L in self.lattices:
+            pairs = [(0, i + 1) for i in L.elements()]
+            pairs += [(i + 1, j + 1) for i in L.elements() for j in L.elements() if L.le(i, j)]
+            labels = ["0*"] + [L.label(i) for i in L.elements()]
+            assert _same(two_oplus(L), build_lattice(L.size + 1, pairs, labels))
+
+    def test_principal_ideal(self):
+        for L in self.lattices:
+            for a in L.elements():
+                elems = [x for x in L.elements() if L.le(x, a)]
+                pairs = [(i, j) for i, x in enumerate(elems) for j, y in enumerate(elems) if L.le(x, y)]
+                expected = build_lattice(len(elems), pairs, [L.label(x) for x in elems])
+                assert _same(principal_ideal(L, a), expected)
+
+    def test_doubling_extension(self):
+        for L in self.lattices:
+            for a in L.elements():
+                elems = [(r, 0) for r in L.elements()] + [(r, 1) for r in L.elements() if L.le(a, r)]
+                pairs = [
+                    (k, m)
+                    for k, (r, i) in enumerate(elems)
+                    for m, (s, j) in enumerate(elems)
+                    if L.le(r, s) and i <= j
+                ]
+                expected = build_lattice(len(elems), pairs, [f"({L.label(r)},{i})" for r, i in elems])
+                assert _same(doubling_extension(L, a), expected)
+
+    def test_dual(self):
+        for L in self.lattices:
+            pairs = [(j, i) for i in L.elements() for j in L.elements() if L.le(i, j)]
+            assert _same(dual(L), build_lattice(L.size, pairs, L.labels))
+
+
+class TestDownSetsAndCovers:
+    lattices = SMALL_AND_DUALS
+
+    def test_down_sets(self):
+        for L in self.lattices:
+            for j in L.elements():
+                assert L.down[j] == sum(1 << i for i in L.elements() if L.le(i, j))
+
+    def test_covers_and_leq_pairs_in_index_order(self):
+        for L in self.lattices:
+            n = L.size
+            leq = [(i, j) for i in range(n) for j in range(n) if L.le(i, j)]
+            covers = [
+                (i, j) for i, j in leq
+                if i != j and not any(L.le(i, k) and L.le(k, j) for k in range(n) if k not in (i, j))
+            ]
+            assert list(L.leq_pairs()) == leq
+            assert list(L.covers()) == covers
+
+    def test_reading_down_keeps_equality_and_hash(self):
+        for L in self.lattices:
+            twin = FiniteLattice(L.size, L.up, L.meet_table, L.join_table, L.labels)
+            before = hash(L)
+            L.down
+            assert hash(L) == before == hash(twin)
+            assert L == twin and twin == L
+
+
 class TestEnumerationOracle:
     def test_known_iso_class_counts(self):
         # reference counts of lattices with n elements up to isomorphism

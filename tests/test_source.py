@@ -27,3 +27,23 @@ def test_oracles_import_only_plain_data_types():
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[0] == "finlat" for a in node.names), "plain finlat import"
     assert imported <= allowed, f"oracles.py imports {sorted(imported - allowed)} from finlat"
+
+
+def test_lattices_are_made_only_by_the_order_check_and_dual():
+    # every order becomes a lattice through _order_lattice; dual swaps the
+    # tables of a lattice that has passed it.  Nothing else may skip the check
+    allowed = {("lattice.py", "_order_lattice"), ("lattice.py", "dual")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside_allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in allowed:
+                inside_allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside_allowed:
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "FiniteLattice":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"FiniteLattice built outside _order_lattice and dual: {found}"
