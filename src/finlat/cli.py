@@ -172,7 +172,7 @@ def _check_expectations(report: dict, expects: Sequence[str]) -> list[dict]:
 
 def _cmd_analyze(args, budgets, L) -> dict:
     verdict = lattice.is_distributive(L, max_host=budgets["max_sublattice_host"])
-    birk = lattice.birkhoff_oracle(L)
+    birk = lattice.birkhoff_oracle(L, max_size=budgets["max_elements"])
     law = lattice.satisfies_distributive_law(L)
     witness = None
     if verdict.witness is not None:

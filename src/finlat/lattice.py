@@ -213,12 +213,12 @@ def validate_lattice(L: FiniteLattice) -> list[str]:
 # standard lattices
 
 
-def chain_lattice(k: int) -> FiniteLattice:
+def chain_lattice(k: int, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
     """The k-element chain 0 < 1 < ... < k-1."""
     if k < 1:
         raise InvalidParameter("a chain needs at least one element")
     pairs = [(i, i + 1) for i in range(k - 1)]
-    return build_lattice(k, pairs, labels=tuple(str(i) for i in range(k)))
+    return build_lattice(k, pairs, labels=tuple(str(i) for i in range(k)), max_size=max_size)
 
 
 def boolean_lattice(n: int, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
@@ -233,13 +233,13 @@ def boolean_lattice(n: int, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
     for mask in range(size):
         members = [str(i) for i in range(n) if mask >> i & 1]
         labels.append("{" + ",".join(members) + "}")
-    return build_lattice(size, pairs, labels=tuple(labels))
+    return build_lattice(size, pairs, labels=tuple(labels), max_size=max_size)
 
 
 _ATOM_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-def m_lattice(n: int) -> FiniteLattice:
+def m_lattice(n: int, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
     """Bottom, top, and n pairwise-incomparable elements in between.
 
     n = 1 or 2 gives a (distributive) chain or diamond; accepted but flagged
@@ -252,7 +252,7 @@ def m_lattice(n: int) -> FiniteLattice:
     top = n + 1
     pairs = [(0, i) for i in range(1, n + 1)] + [(i, top) for i in range(1, n + 1)]
     atoms = tuple(_ATOM_NAMES[i] if i < len(_ATOM_NAMES) else f"x{i}" for i in range(n))
-    return build_lattice(n + 2, pairs, labels=("0",) + atoms + ("1",))
+    return build_lattice(n + 2, pairs, labels=("0",) + atoms + ("1",), max_size=max_size)
 
 
 def pentagon() -> FiniteLattice:
@@ -291,11 +291,11 @@ def standard_lattice(kind: str, max_size: int = MAX_ELEMENTS) -> FiniteLattice:
     if size > max_size:
         raise SizeLimit("lattice size", size, max_size)
     if name == "boolean":
-        return boolean_lattice(arg)
+        return boolean_lattice(arg, max_size)
     if name == "m":
-        return m_lattice(arg)
+        return m_lattice(arg, max_size)
     if name == "chain":
-        return chain_lattice(arg)
+        return chain_lattice(arg, max_size)
     return pentagon() if name == "pentagon" else hexagon()
 
 

@@ -5,7 +5,13 @@ A rank is a map rho: L -> L with
   (2) rho(rho(x)) = rho(x),
   (3) rho(x) and rho(y) comparable for all x, y,
   (4) rho(x v y) = rho(x) v rho(y).
-Its image, the rankset, is then a chain containing the top.  Two further
+Its image, the rankset, is then a chain containing the top.  Axioms (1),
+(2) and the monotonicity that (4) implies make rho a closure operator, and
+a closure operator is fixed by its image.  Conversely, for every chain C
+containing the top, rho_C(x) = min(C & up(x)) satisfies all four axioms:
+for (4), c = max(rho x, rho y) is above x v y, so rho(x v y) <= c, and
+monotonicity gives rho(x v y) >= c.  So the ranks are exactly the chains
+through the top, which is how enumerate_ranks lists them.  Two further
 conditions cut down the ranks that matter here: the Blass Condition
 (rho(x) = rho(y) implies rho(x) = rho(x ^ y); in a finite lattice every
 element is compact, so it is checked for all pairs) and the Gaifman
@@ -17,10 +23,11 @@ reports can print explicit counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import InvalidParameter, SizeLimit
-from .lattice import FiniteLattice, lattice_isomorphism, pentagon
+from .lattice import FiniteLattice, _bits, lattice_isomorphism, pentagon
 
 MAX_RANK_ELEMENTS = 8
 MAX_RANK_CANDIDATES = 2_000_000
@@ -125,58 +132,37 @@ def enumerate_ranks(
 ) -> list[RankedLattice]:
     """All rank maps passing the requested checks, in lexicographic rho order.
 
-    Enumeration runs over raw maps L -> L, pruned early by axiom (1)
-    (each rho(x) ranges over the filter of x) and by partial comparability
-    and join-law checks, monotonicity included; the axioms are always
-    required.  The candidate space is the product of filter sizes, guarded
-    by max_candidates.
+    The ranks are exactly the maps rho_C(x) = min(C & up(x)) for the chains
+    C that contain the top, so the walk lists those chains from [top]
+    downwards, extending each by every element below its least one, and
+    cuts no branch; the axioms hold by construction.  The candidate space
+    checked against max_candidates, before the walk, is the product of
+    the filter sizes.
     """
     unknown = set(require) - _KNOWN_CHECKS
     if unknown:
         raise InvalidParameter(f"unknown checks requested: {sorted(unknown)}")
     if L.size > max_elements:
         raise SizeLimit("rank enumeration lattice size", L.size, max_elements)
-    ups = [[v for v in range(L.size) if L.le(x, v)] for x in range(L.size)]
-    space = 1
-    for u in ups:
-        space *= len(u)
+    space = prod(u.bit_count() for u in L.up)
     if space > max_candidates:
         raise SizeLimit("rank enumeration candidates", space, max_candidates)
 
     out: list[RankedLattice] = []
-    rho: list[int] = []
-
-    def feasible(x: int, v: int) -> bool:
-        for y in range(x):
-            w = rho[y]
-            if not L.le(v, w) and not L.le(w, v):
-                return False  # axiom (3)
-            j = L.join(x, y)
-            if j < x and rho[j] != L.join(v, w):
-                return False  # axiom (4), both sides already chosen
-            if j == x and L.join(v, w) != v:
-                return False  # axiom (4) with y <= x: rho is monotone
-        return True
-
-    def descend(x: int) -> None:
-        if x == L.size:
-            candidate = tuple(rho)
-            if not verify_rank_axioms(L, candidate).valid:
-                return
-            R = RankedLattice(L, candidate)
-            if "blass" in require and not check_blass(R).holds:
-                return
-            if "gaifman" in require and not check_gaifman(R).holds:
-                return
+    stack = [(L.top, (L.top,) * L.size)]
+    while stack:
+        least, rho = stack.pop()
+        R = RankedLattice(L, rho)
+        if ("blass" not in require or check_blass(R).holds) and (
+            "gaifman" not in require or check_gaifman(R).holds
+        ):
             out.append(R)
-            return
-        for v in ups[x]:
-            if feasible(x, v):
-                rho.append(v)
-                descend(x + 1)
-                rho.pop()
-
-    descend(0)
+        for d in _bits(L.down[least] & ~(1 << least)):
+            child = list(rho)
+            for x in _bits(L.down[d]):
+                child[x] = d
+            stack.append((d, tuple(child)))
+    out.sort(key=lambda R: R.rho)
     return out
 
 

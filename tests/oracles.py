@@ -233,6 +233,44 @@ def iso_classes(lattices) -> list[FiniteLattice]:
 
 
 # ---------------------------------------------------------------------------
+# rank maps by brute force
+
+
+def oracle_ranks(L: FiniteLattice) -> list[tuple[int, ...]]:
+    """Every map rho with x <= rho(x) that satisfies the rank axioms
+    (2) rho(rho x) = rho x, (3) rho x, rho y comparable and
+    (4) rho(x v y) = rho x v rho y, in lexicographic order; the order and
+    the joins are read off the up-set masks alone."""
+    n, up = L.size, L.up
+    def le(x, y):
+        return bool(up[x] >> y & 1)
+    def least_upper_bound(x, y):
+        common = up[x] & up[y]
+        return next(z for z in range(n) if common >> z & 1 and common & ~up[z] == 0)
+    join = [[least_upper_bound(x, y) for y in range(n)] for x in range(n)]
+    filters = [[v for v in range(n) if le(x, v)] for x in range(n)]
+    return [
+        rho for rho in product(*filters)
+        if all(rho[rho[x]] == rho[x] for x in range(n))
+        and all(le(rho[x], rho[y]) or le(rho[y], rho[x]) for x in range(n) for y in range(n))
+        and all(rho[join[x][y]] == join[rho[x]][rho[y]] for x in range(n) for y in range(n))
+    ]
+
+
+def count_chains_through_top(L: FiniteLattice) -> int:
+    """The number of sets of pairwise comparable elements that contain the top."""
+    n = L.size
+    top = next(t for t in range(n) if all(L.le(x, t) for x in range(n)))
+    return sum(
+        all(L.le(x, y) or L.le(y, x) for x in C for y in C)
+        for C in (
+            {top} | {x for x in range(n) if mask >> x & 1}
+            for mask in range(1 << n) if not mask >> top & 1
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
 # set-partition machinery over original point names
 
 

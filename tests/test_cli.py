@@ -285,6 +285,29 @@ class TestEnvironmentBudgets:
         capsys.readouterr()
 
 
+class TestElementBudgetReachesLibrary:
+    @pytest.mark.parametrize("std", ["chain(3)", "m(3)", "boolean(2)"])
+    def test_raised_max_elements_reaches_build_and_birkhoff(self, capsys, monkeypatch, std):
+        # a --std lattice above 4096 elements would be built with the raised
+        # limit; spies record the limit each library call receives
+        seen = []
+
+        def spy(real):
+            def call(*args, **kwargs):
+                seen.append((real.__name__, kwargs.get("max_size")))
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("build_lattice", "birkhoff_oracle"):
+            monkeypatch.setattr(cli.lattice, name, spy(getattr(cli.lattice, name)))
+        code, report = run_json(["analyze", "--std", std, "--budget", "max_elements=5000"], capsys)
+        assert code == 0 and report["methods_agree"] is True
+        # the first build is the input; later ones are is_distributive's
+        # forbidden sublattices
+        assert seen[0] == ("build_lattice", 5000)
+        assert [call for call in seen if call[0] == "birkhoff_oracle"] == [("birkhoff_oracle", 5000)]
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -409,6 +432,7 @@ class TestBadInput:
 GOLDEN_RUNS = {
     "analyze": ["analyze", "n5.json"],
     "ranks": ["ranks", "n5.json", "--blass", "--gaifman"],
+    "ranks-boolean3": ["ranks", "--std", "boolean(3)"],
     "rep-verify": ["rep", "verify", "m3_base_rep.json"],
     "rep-cpp": ["rep", "cpp", "chain2_rep4.json", "--depth", "1"],
     "rep-ranked": ["rep", "ranked", "pairs_b2_4.json", "--rho", "3,3,3,3", "--bound", "6"],

@@ -15,7 +15,7 @@ from finlat.ranked import (
     verify_rank_axioms,
 )
 
-from oracles import enumerate_labeled_lattices, relabeled
+from oracles import count_chains_through_top, enumerate_labeled_lattices, oracle_ranks, relabeled
 
 
 class TestAxioms:
@@ -128,7 +128,8 @@ class TestEnumeration:
         assert fast == raw
 
     def test_matches_raw_filter_under_any_numbering(self):
-        # the search prunes by element number, so compare on relabelings
+        # rank order is lexicographic in rho, so it depends on the numbering;
+        # compare on relabelings
         rng = random.Random(2)
         checks = [{"axioms"}, {"axioms", "blass"}, {"axioms", "blass", "gaifman"}]
         for n in range(1, 6):
@@ -141,6 +142,15 @@ class TestEnumeration:
                                if ("blass" not in require or check_blass(R).holds)
                                and ("gaifman" not in require or check_gaifman(R).holds)]
                         assert [R.rho for R in enumerate_ranks(L, require)] == raw
+
+    def test_equals_oracle_and_counts_chains_through_top(self):
+        rng = random.Random(5)
+        for n in range(1, 7):
+            for L0 in enumerate_labeled_lattices(n):
+                for L in (L0, relabeled(L0, rng), relabeled(L0, rng)):
+                    rhos = [R.rho for R in enumerate_ranks(L, {"axioms"})]
+                    assert rhos == oracle_ranks(L)
+                    assert len(rhos) == count_chains_through_top(L)
 
     def test_chain8_edge_count(self):
         assert len(enumerate_ranks(chain_lattice(8), {"axioms", "blass", "gaifman"})) == 2 ** 7
